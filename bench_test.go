@@ -741,6 +741,38 @@ func BenchmarkLargeSparseGen(b *testing.B) {
 // DESIGN.md §2.14. Quiet and moderate channels are where replicate
 // slicing pays; ε = 0 isolates that win.
 func BenchmarkSweepReplicateHeavy(b *testing.B) {
+	scs := replicateHeavyGrid(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sweep.Run(scs, sweep.NewMemStore(), sweep.Options{Jobs: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepReplicateHeavyService runs the same grid through a
+// resident sweep.Service (NewService + Submit + Wait), the scheduler
+// cmd/sweepd serves. Each iteration starts a fresh store and service so
+// every scenario is a cold miss, like the batch variant.
+func BenchmarkSweepReplicateHeavyService(b *testing.B) {
+	scs := replicateHeavyGrid(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc := sweep.NewService(sweep.NewMemStore(), sweep.ServiceOptions{Jobs: 4})
+		job, err := svc.Submit(scs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := job.Wait(); err != nil {
+			b.Fatal(err)
+		}
+		svc.Close()
+	}
+}
+
+// replicateHeavyGrid expands the 256-scenario replicate-heavy grid.
+func replicateHeavyGrid(b *testing.B) []sweep.Scenario {
+	b.Helper()
 	scs, err := sweep.Grid{
 		Families:   []string{sweep.FamilyHard},
 		Ns:         []int{48, 64},
@@ -758,10 +790,5 @@ func BenchmarkSweepReplicateHeavy(b *testing.B) {
 	if len(scs) != 256 {
 		b.Fatalf("grid expanded to %d scenarios, want 256", len(scs))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sweep.Run(scs, sweep.NewMemStore(), sweep.Options{Jobs: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return scs
 }

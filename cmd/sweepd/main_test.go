@@ -269,17 +269,18 @@ func TestSweepdEndToEnd(t *testing.T) {
 	}
 }
 
-// waitForFlightWaiter polls goroutine stacks until two goroutines sit
-// inside FlightGroup.Do — the owner (blocked in the test's ExecuteFunc)
-// plus one waiter — so a release at that point deterministically
-// exercises the share path.
+// waitForFlightWaiter polls goroutine stacks until a goroutine sits in
+// a singleflight wait (sim.Flight.Wait) — the second submission's task
+// joined the flight whose owner is blocked in the test's ExecuteFunc —
+// so a release at that point deterministically exercises the share
+// path.
 func waitForFlightWaiter(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<22)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		stacks := string(buf[:runtime.Stack(buf, true)])
-		if strings.Count(stacks, "FlightGroup") >= 2 {
+		if strings.Contains(stacks, "sim.(*Flight[...]).Wait") {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -391,6 +392,38 @@ func TestSweepdBackpressureAndErrors(t *testing.T) {
 
 	close(release)
 	waitJob(t, base, sr.Status)
+}
+
+// TestSweepdRefusesOversizedGrid: a grid whose cardinality alone
+// exceeds MaxPending is refused with 429 before it is expanded — the
+// request allocates nothing proportional to its replicate count, so a
+// hostile body cannot make the daemon build millions of scenarios just
+// to reject them.
+func TestSweepdRefusesOversizedGrid(t *testing.T) {
+	ts, reg := newTestDaemon(t, sweep.ServiceOptions{Jobs: 1, MaxPending: 8})
+	huge := strings.Replace(testGrid, `"replicates":2`, `"replicates":262144`, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/grids", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("oversized grid: %s %s, want 429", resp.Status, body)
+	}
+	// Expanding the grid would allocate hundreds of MB (a spec, a hash
+	// and a dedup entry per scenario); refusing it costs one request.
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
+		t.Fatalf("refusing the grid allocated %d MB: it was expanded first", grown>>20)
+	}
+	if n := reg.Counter("sweep.service.rejected").Value(); n != 1 {
+		t.Fatalf("sweep.service.rejected=%d, want 1", n)
+	}
+	// A grid that fits is still admitted.
+	waitJob(t, ts.URL, submitGrid(t, ts.URL, testGrid).Status)
 }
 
 // TestSweepdHealthz: liveness endpoint.

@@ -133,8 +133,9 @@ type submitResponse struct {
 	Records string `json:"records"`
 }
 
-// handleSubmit expands a grid and submits it to the service: 202 with a
-// job handle, 400 on a bad grid, 429 under backpressure.
+// handleSubmit submits a grid to the service: 202 with a job handle,
+// 400 on a bad grid, 429 under backpressure — including, before any
+// expansion, a grid too large for the service ever to admit.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var gr gridRequest
 	dec := json.NewDecoder(r.Body)
@@ -143,12 +144,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad grid body: %w", err))
 		return
 	}
-	scenarios, err := gr.grid().Expand()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	job, err := s.svc.Submit(scenarios)
+	job, err := s.svc.SubmitGrid(gr.grid())
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, sweep.ErrBackpressure) {
@@ -159,7 +155,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	s.progress.Expect(len(scenarios))
+	st := job.Status()
+	s.progress.Expect(st.Total)
 	// The server — not any one HTTP subscriber — drains the job's event
 	// channel into a replayable per-job feed, so any number of /events
 	// streams can follow the job (each from the start) and the global
@@ -179,7 +176,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		feed.finish()
 	}()
-	st := job.Status()
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		Job: job.ID(), Total: st.Total, Unique: st.Unique, Status: "/jobs/" + job.ID(),
 		Events: "/jobs/" + job.ID() + "/events", Records: "/jobs/" + job.ID() + "/records",

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -291,5 +292,46 @@ func TestGridNormalizesNativeEngineChannelAxes(t *testing.T) {
 	}
 	if st.Unique != 1 || st.Ran != 1 || st.Cached != 0 {
 		t.Fatalf("deduplicated expansion should run exactly once: %+v", st)
+	}
+}
+
+// TestGridSize: Size equals len(Expand()) on grids whose axes repeat no
+// value — across derived-N and parameterless families, unsupported
+// engine/workload pairs, native engines, and noise models — bounds it
+// from above when an axis repeats, and saturates instead of overflowing.
+func TestGridSize(t *testing.T) {
+	exact := []Grid{
+		tinyGrid(),
+		{Families: []string{FamilyRegular, FamilyGrid, FamilyGeo}, Ns: []int{20, 24}, Params: []int{2, 3},
+			Engines: []string{EngineAlg1, EngineTDMA}, Replicates: 3, BaseSeed: 1},
+		{Families: []string{FamilyRegular}, Ns: []int{12}, Params: []int{2}, Epsilons: []float64{0, 0.1},
+			Engines: []string{EngineAlg1, EngineBeep, EngineCongest}, Workloads: []string{WorkloadGossip, WorkloadMIS},
+			Rounds: 2, BaseSeed: 3},
+		{Families: []string{FamilyRegular}, Ns: []int{12}, Params: []int{2}, Epsilons: []float64{0.05, 0.1},
+			Noises: []string{"", "asymmetric:0.03:0.15"}, Engines: []string{EngineAlg1, EngineTDMA},
+			Replicates: 2, BaseSeed: 4},
+	}
+	for i, g := range exact {
+		scs, err := g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Size(); got != len(scs) {
+			t.Errorf("grid %d: Size %d, Expand %d", i, got, len(scs))
+		}
+	}
+	dup := tinyGrid()
+	dup.Epsilons = []float64{0.1, 0.1}
+	scs, err := dup.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dup.Size(); got < len(scs) {
+		t.Errorf("repeated ε axis: Size %d below Expand %d", got, len(scs))
+	}
+	huge := tinyGrid()
+	huge.Replicates = math.MaxInt / 2
+	if got := huge.Size(); got != math.MaxInt {
+		t.Errorf("huge grid: Size %d, want saturation at math.MaxInt", got)
 	}
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -102,5 +103,60 @@ func TestBatchUsesSharedArtifacts(t *testing.T) {
 	}
 	if st.CodeMisses != 2 || st.CodeHits != 2 {
 		t.Errorf("code traffic = %+v, want 2 misses + 2 hits (replicates share each ε's tables)", st)
+	}
+}
+
+// TestSeedlessFamiliesIgnoreGraphSeed pins the rule the artifact cache
+// and replicate slicing both rest on: for every family where
+// graphSeedMatters is false, BuildGraph gives the identical graph for
+// any GraphSeed, so keying such graphs (and grouping such lanes) with
+// the seed zeroed is invisible in every record.
+func TestSeedlessFamiliesIgnoreGraphSeed(t *testing.T) {
+	all := []Scenario{
+		{Family: FamilyRegular, N: 12, Param: 3},
+		{Family: FamilyBounded, N: 12, Param: 3},
+		{Family: FamilyPG, Param: 3},
+		{Family: FamilyGrid, Param: 4},
+		{Family: FamilyHypercube, Param: 3},
+		{Family: FamilyHard, N: 12, Param: 3},
+		{Family: FamilyComplete, N: 8},
+		{Family: FamilyGeo, N: 64},
+	}
+	seedless := 0
+	for _, sc := range all {
+		if graphSeedMatters(sc.Family) {
+			continue
+		}
+		seedless++
+		a, b := sc, sc
+		a.GraphSeed, b.GraphSeed = 1, 0xdeadbeef
+		ga, err := a.BuildGraph()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Family, err)
+		}
+		gb, err := b.BuildGraph()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Family, err)
+		}
+		if ga.N() != gb.N() || !reflect.DeepEqual(ga.Edges(), gb.Edges()) {
+			t.Errorf("%s: GraphSeed changed the graph, but graphSeedMatters says it is ignored", sc.Family)
+		}
+	}
+	if seedless != 5 {
+		t.Fatalf("%d seedless families, want 5 (pg, grid, hypercube, hard, complete)", seedless)
+	}
+
+	// The artifact cache relies on it: two hard-family replicates with
+	// distinct GraphSeeds share one graph build.
+	cache := sim.NewCache()
+	for seed := uint64(1); seed <= 2; seed++ {
+		sc := Scenario{Family: FamilyHard, N: 12, Param: 3, Engine: EngineTDMA, Workload: WorkloadGossip,
+			Rounds: 1, GraphSeed: seed, ChannelSeed: seed, AlgSeed: seed}
+		if _, err := Execute(sc, ExecOptions{Artifacts: cache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cache.Stats(); st.GraphMisses != 1 || st.GraphHits != 1 {
+		t.Fatalf("graph traffic = %+v, want 1 miss + 1 hit across GraphSeeds", st)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/congest"
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -29,7 +31,7 @@ type ExecOptions struct {
 	// for every value.
 	GenWorkers int
 	// Artifacts, when non-nil, shares graphs and code tables across
-	// Execute calls (the batch scheduler passes one cache per batch).
+	// Execute calls (the scheduler passes one cache per Service).
 	// Cached artifacts are pure functions of their keys, so records are
 	// byte-identical with the cache on or off.
 	Artifacts *sim.Cache
@@ -93,39 +95,20 @@ func Execute(sc Scenario, opt ExecOptions) (Record, error) {
 	}
 
 	buildStart := time.Now()
-	g, err := sc.buildGraphCached(opt.Artifacts, opt.GenWorkers)
+	g, cfg, budget, capped, err := runSetup(sc, wl, opt)
 	if err != nil {
-		return Record{}, fmt.Errorf("sweep: %s: build graph: %w", sc.Hash(), err)
+		return Record{}, err
 	}
 	rec := Record{
 		Hash:  sc.Hash(),
 		Spec:  sc,
 		Graph: GraphInfo{N: g.N(), MaxDegree: g.MaxDegree(), Edges: g.M()},
 	}
-
-	msgBits := sc.MsgBits
-	if msgBits == 0 {
-		msgBits = wl.MsgBits(g)
-	}
-	budget, capped := capBudget(wl.Budget(g, sc.Rounds), opt.MaxRoundsFactor)
 	var algs []congest.BroadcastAlgorithm
 	if eng.DrivesAlgs() {
 		algs = wl.Algs(g, sc.Rounds)
 	}
-
-	inst, err := eng.Prepare(g, sim.Config{
-		MsgBits:     msgBits,
-		Epsilon:     sc.Epsilon,
-		Noise:       sc.Noise,
-		ChannelSeed: sc.ChannelSeed,
-		AlgSeed:     sc.AlgSeed,
-		Workers:     opt.Workers,
-		Shards:      opt.Shards,
-		Workload:    wl,
-		Rounds:      sc.Rounds,
-		Artifacts:   opt.Artifacts,
-		Metrics:     opt.Metrics,
-	})
+	inst, err := eng.Prepare(g, cfg)
 	if err != nil {
 		return Record{}, err
 	}
@@ -142,29 +125,56 @@ func Execute(sc Scenario, opt ExecOptions) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
+	if err := fillRecord(&rec, wl, g, res, extras, capped, budget); err != nil {
+		return Record{}, err
+	}
+	rec.WallNanos = time.Since(start).Nanoseconds()
+	em.runT.Observe(time.Duration(rec.WallNanos))
+	return rec, nil
+}
+
+// runSetup builds sc's graph through the artifact cache and derives the
+// engine config and round budget (capped reports the MaxRoundsFactor
+// guard binding) that every lane of a run shares.
+func runSetup(sc Scenario, wl sim.Workload, opt ExecOptions) (g *graph.Graph, cfg sim.Config, budget int, capped bool, err error) {
+	g, err = sc.buildGraphCached(opt.Artifacts, opt.GenWorkers)
+	if err != nil {
+		return nil, cfg, 0, false, fmt.Errorf("sweep: %s: build graph: %w", sc.Hash(), err)
+	}
+	cfg = sim.Config{
+		MsgBits: sc.MsgBits, Epsilon: sc.Epsilon, Noise: sc.Noise, ChannelSeed: sc.ChannelSeed, AlgSeed: sc.AlgSeed,
+		Workers: opt.Workers, Shards: opt.Shards, Workload: wl, Rounds: sc.Rounds, Artifacts: opt.Artifacts, Metrics: opt.Metrics,
+	}
+	if cfg.MsgBits == 0 {
+		cfg.MsgBits = wl.MsgBits(g)
+	}
+	budget, capped = capBudget(wl.Budget(g, sc.Rounds), opt.MaxRoundsFactor)
+	return g, cfg, budget, capped, nil
+}
+
+// fillRecord lands one engine run in rec: counters, the engine's
+// Extras, and the failure reason, with workload-level output validity
+// distilled into Counters.OutputOK. Workloads without a validity notion
+// (ErrUnverified) leave it nil; a type mismatch is a wiring bug and
+// fails the scenario with a typed error rather than crashing the
+// scheduler's worker.
+func fillRecord(rec *Record, wl sim.Workload, g *graph.Graph, res *core.Result, extras sim.Extras, capped bool, budget int) error {
 	rec.Counters = countersFromCore(res)
 	rec.Counters.Messages = extras[sim.ExtraMessages]
 	rec.Colors = int(extras[sim.ExtraColors])
 	rec.Rho = int(extras[sim.ExtraRho])
 	rec.SetupRounds = int(extras[sim.ExtraSetupRounds])
-
-	// Distill workload-level output validity into Counters.OutputOK.
-	// Workloads without a validity notion (ErrUnverified) leave it nil;
-	// a type mismatch is a wiring bug and fails the scenario with a
-	// typed error rather than crashing the batch worker.
 	verr := wl.Verify(g, res.Outputs)
 	if !errors.Is(verr, sim.ErrUnverified) {
 		var typeErr *sim.OutputTypeError
 		if errors.As(verr, &typeErr) {
-			return Record{}, fmt.Errorf("sweep: %s: %w", sc.Hash(), typeErr)
+			return fmt.Errorf("sweep: %s: %w", rec.Hash, typeErr)
 		}
 		outputOK := rec.Counters.AllDone && verr == nil
 		rec.Counters.OutputOK = &outputOK
 	}
-	rec.Failure = failureFor(sc, rec.Counters, verr, capped, budget)
-	rec.WallNanos = time.Since(start).Nanoseconds()
-	em.runT.Observe(time.Duration(rec.WallNanos))
-	return rec, nil
+	rec.Failure = failureFor(rec.Spec, rec.Counters, verr, capped, budget)
+	return nil
 }
 
 // capBudget applies the MaxRoundsFactor guard to a workload budget,
@@ -254,22 +264,17 @@ func slicedCapable(sc Scenario) bool {
 	return ok
 }
 
-// ExecuteSliced runs a group of scenarios that differ only in their
+// executeSliced runs a group of scenarios that differ only in their
 // replicate seeds (equal sliceKey) as lanes of one replicate-sliced
-// engine pass. The returned records are positionally parallel to scs
-// and — excepting WallNanos and BuildNanos, the non-deterministic
-// timing fields, which report the group's totals amortized evenly over
-// the lanes — byte-identical to Execute on each spec: slicing is an
-// execution detail, never an identity axis, so hashes, stores, and
-// downstream aggregation cannot observe it.
-func ExecuteSliced(scs []Scenario, opt ExecOptions) ([]Record, error) {
-	return executeSliced(scs, nil, opt)
-}
-
-// executeSliced is ExecuteSliced with optionally precomputed spec
-// hashes (positionally parallel to scs, as the batch layer holds them):
-// hashing is SHA-256 over canonical JSON, too expensive to redo per
-// lane when the caller already paid for it. nil means compute here.
+// engine pass. hashes are the specs' hashes, positionally parallel to
+// scs as the scheduler holds them: hashing is SHA-256 over canonical
+// JSON, too expensive to redo per lane. The returned records are
+// positionally parallel to scs and — excepting WallNanos and
+// BuildNanos, the non-deterministic timing fields, which report the
+// group's totals amortized evenly over the lanes — byte-identical to
+// Execute on each spec: slicing is an execution detail, never an
+// identity axis, so hashes, stores, and downstream aggregation cannot
+// observe it.
 func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, error) {
 	if len(scs) == 0 || len(scs) > 64 {
 		return nil, fmt.Errorf("sweep: sliced group of %d scenarios outside [1, 64]", len(scs))
@@ -291,32 +296,18 @@ func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, 
 	}
 
 	buildStart := time.Now()
-	g, err := scs[0].buildGraphCached(opt.Artifacts, opt.GenWorkers)
+	g, cfg, budget, capped, err := runSetup(scs[0], wl, opt)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: %s: build graph: %w", scs[0].Hash(), err)
+		return nil, err
 	}
-	msgBits := scs[0].MsgBits
-	if msgBits == 0 {
-		msgBits = wl.MsgBits(g)
-	}
-	budget, capped := capBudget(wl.Budget(g, scs[0].Rounds), opt.MaxRoundsFactor)
+	cfg.ChannelSeed, cfg.AlgSeed = 0, 0 // each lane carries its own
 	lanes := make([]sim.LaneSeeds, len(scs))
 	algs := make([][]congest.BroadcastAlgorithm, len(scs))
 	for k, sc := range scs {
 		lanes[k] = sim.LaneSeeds{ChannelSeed: sc.ChannelSeed, AlgSeed: sc.AlgSeed}
 		algs[k] = wl.Algs(g, sc.Rounds)
 	}
-	inst, err := seng.PrepareSliced(g, sim.Config{
-		MsgBits:   msgBits,
-		Epsilon:   scs[0].Epsilon,
-		Noise:     scs[0].Noise,
-		Workers:   opt.Workers,
-		Shards:    opt.Shards,
-		Workload:  wl,
-		Rounds:    scs[0].Rounds,
-		Artifacts: opt.Artifacts,
-		Metrics:   opt.Metrics,
-	}, lanes)
+	inst, err := seng.PrepareSliced(g, cfg, lanes)
 	if err != nil {
 		return nil, err
 	}
@@ -334,35 +325,16 @@ func executeSliced(scs []Scenario, hashes []string, opt ExecOptions) ([]Record, 
 
 	recs := make([]Record, len(scs))
 	for k, sc := range scs {
-		hash := ""
-		if hashes != nil {
-			hash = hashes[k]
-		}
-		if hash == "" {
-			hash = sc.Hash()
-		}
 		rec := Record{
-			Hash:       hash,
+			Hash:       hashes[k],
 			Spec:       sc,
 			Graph:      GraphInfo{N: g.N(), MaxDegree: g.MaxDegree(), Edges: g.M()},
 			BuildNanos: buildNanos / int64(len(scs)),
 			WallNanos:  wallNanos / int64(len(scs)),
 		}
-		rec.Counters = countersFromCore(results[k])
-		rec.Counters.Messages = extras[k][sim.ExtraMessages]
-		rec.Colors = int(extras[k][sim.ExtraColors])
-		rec.Rho = int(extras[k][sim.ExtraRho])
-		rec.SetupRounds = int(extras[k][sim.ExtraSetupRounds])
-		verr := wl.Verify(g, results[k].Outputs)
-		if !errors.Is(verr, sim.ErrUnverified) {
-			var typeErr *sim.OutputTypeError
-			if errors.As(verr, &typeErr) {
-				return nil, fmt.Errorf("sweep: %s: %w", sc.Hash(), typeErr)
-			}
-			outputOK := rec.Counters.AllDone && verr == nil
-			rec.Counters.OutputOK = &outputOK
+		if err := fillRecord(&rec, wl, g, results[k], extras[k], capped, budget); err != nil {
+			return nil, err
 		}
-		rec.Failure = failureFor(sc, rec.Counters, verr, capped, budget)
 		recs[k] = rec
 	}
 	return recs, nil

@@ -193,6 +193,56 @@ func (g Grid) Expand() ([]Scenario, error) {
 	return out, nil
 }
 
+// Size returns an upper bound on len(Expand()) computed from the axis
+// lengths alone — no scenario is built, so it is safe on a hostile
+// grid — saturating at math.MaxInt. It applies Expand's structural
+// collapses (derived-N families, parameterless geo, unsupported
+// engine/workload pairs, native engines' and non-symmetric noise
+// models' ε axis) and is exact when no axis repeats a value; Expand's
+// hash dedup only ever shrinks the grid below it.
+func (g Grid) Size() int {
+	// Channel points of a beeping engine: the symmetric channel crosses
+	// the ε axis, other noise models own the channel. float64 cannot
+	// overflow here and is exact below 2⁵³.
+	epsilons := float64(max(len(g.Epsilons), 1))
+	channels := epsilons
+	if len(g.Noises) > 0 {
+		channels = 0
+		for _, ns := range g.Noises {
+			if ns == "" || ns == noise.NameSymmetric {
+				channels += epsilons
+			} else {
+				channels++
+			}
+		}
+	}
+	size := 0.0
+	for _, wl := range defaulted(g.Workloads, WorkloadGossip) {
+		for _, fam := range defaulted(g.Families, FamilyRegular) {
+			points := 1.0
+			if !derivedN(fam) {
+				points *= float64(max(len(g.Ns), 1))
+			}
+			if fam != FamilyGeo {
+				points *= float64(max(len(g.Params), 1))
+			}
+			for _, eng := range defaulted(g.Engines, EngineAlg1) {
+				switch {
+				case !Supports(eng, wl):
+				case sim.IsNative(eng):
+					size += points
+				default:
+					size += points * channels
+				}
+			}
+		}
+	}
+	if size *= float64(max(g.Replicates, 1)); size >= math.MaxInt64 {
+		return math.MaxInt
+	}
+	return int(size)
+}
+
 // canonicalNoises normalizes the noise axis: "" and "symmetric" mean
 // the default symmetric channel (spelled as the empty spec, so Epsilon
 // stays the channel identity); other entries must parse and are

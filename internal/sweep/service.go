@@ -12,25 +12,26 @@ import (
 	"repro/internal/sim"
 )
 
-// Service is the long-lived scheduling layer: the batch scheduler's
-// execution semantics (store-first lookup, persisted misses, per-slot
-// deterministic records) lifted out of the one-shot Run call into a
-// resident worker pool that serves many concurrent submissions over one
-// store — the shape cmd/sweepd exposes over HTTP. Each Submit gets its
-// own Job with a private completion queue and a streaming event channel;
-// the scenarios of all jobs share the worker pool, the store, the
-// artifact cache, and one request-level singleflight group, so identical
-// scenarios submitted concurrently by different requests execute exactly
-// once (sim.FlightGroup — the artifact cache's per-entry sync.Once
+// Service is the sweep scheduler: a resident worker pool that serves
+// many concurrent submissions over one store — the shape cmd/sweepd
+// exposes over HTTP, and the one scheduler behind the one-shot Run (a
+// Submit+Wait on a private Service). Each Submit gets its own Job with a
+// private result slice and a streaming event channel; the scenarios of
+// all jobs share the worker pool, the store, the artifact cache, and one
+// request-level singleflight group, so identical scenarios submitted
+// concurrently by different requests execute exactly once
+// (sim.FlightGroup — the artifact cache's per-entry sync.Once
 // generalized to the request layer).
 //
-// Records are byte-identical to Execute/Run output by the determinism
+// Submit enqueues a job as lane groups (sliceGroups), and a worker runs
+// the lanes of a group it owns in one sliced engine pass (runGroup).
+//
+// Records are byte-identical to Execute output by the determinism
 // contract: the service changes scheduling only, never results.
 type Service struct {
 	store StoreEngine
 	exec  ExecOptions
-	// execute is Execute, injectable so tests can pin singleflight
-	// interleavings without real engine work.
+	// execute is the ExecuteFunc test seam (nil in production).
 	execute func(Scenario, ExecOptions) (Record, error)
 
 	tasks   chan task
@@ -39,7 +40,7 @@ type Service struct {
 	m       serviceMetrics
 
 	mu         sync.Mutex
-	pending    int // queued + running tasks, bounded by maxPending
+	pending    int // queued + running scenarios, bounded by maxPending
 	maxPending int
 	nextJob    int
 	jobs       map[string]*Job
@@ -48,10 +49,13 @@ type Service struct {
 
 // ServiceOptions configures a Service.
 type ServiceOptions struct {
-	// Jobs bounds concurrently executing scenarios (0 = one per CPU),
-	// exactly like Options.Jobs; Workers, Shards, and GenWorkers follow
-	// the same composition rule as the batch scheduler (auto Workers run
-	// serial per scenario when Jobs > 1).
+	// Jobs is the worker count (0 = one per CPU): each worker runs one
+	// lane group at a time. Workers, Shards, and GenWorkers configure
+	// each run's engine pool and graph generation (ExecOptions); an auto
+	// Workers (0) runs serial when Jobs > 1 — the cores belong to the
+	// scheduler — and gives the single worker the whole machine when
+	// Jobs = 1. By the determinism contract, no setting changes any
+	// record.
 	Jobs, Workers, Shards, GenWorkers int
 	// MaxRoundsFactor forwards the round-budget guard (ExecOptions);
 	// like a spec axis, hold it constant over one store's lifetime.
@@ -67,11 +71,14 @@ type ServiceOptions struct {
 	// counter sweep.service.singleflight_hits.
 	Artifacts *sim.Cache
 	Metrics   *obs.Registry
-	// ExecuteFunc replaces Execute as the per-scenario runner (nil =
-	// Execute). A test seam: blocking it lets tests pin store-hit,
-	// singleflight, and backpressure interleavings deterministically.
-	// Production callers leave it nil — any substitute must preserve the
-	// determinism contract (records a pure function of the spec).
+	// ExecuteFunc replaces the engine run (nil = Execute for a single
+	// lane, one sliced pass for a lane group). A test seam: blocking it
+	// lets tests pin store-hit, singleflight, and backpressure
+	// interleavings deterministically. Under the seam every owned lane
+	// runs through it alone, so a substitute only ever sees one
+	// scenario. Production callers leave it nil — any substitute must
+	// preserve the determinism contract (records a pure function of the
+	// spec).
 	ExecuteFunc func(Scenario, ExecOptions) (Record, error)
 }
 
@@ -85,10 +92,16 @@ var ErrBackpressure = errors.New("sweep: service queue full")
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("sweep: service is closed")
 
+// serviceMetrics is the scheduler's one metric set; the zero value (nil
+// registry) disables everything at one pointer check per use.
 type serviceMetrics struct {
 	submissions *obs.Counter
 	scenarios   *obs.Counter
-	storeHits   *obs.Counter
+	dups        *obs.Counter
+	groups      *obs.Counter
+	storeHits   *obs.Counter // first lookup hit
+	storeMisses *obs.Counter // first lookup miss
+	served      *obs.Counter // served from the store: first lookup or in-flight re-check
 	executions  *obs.Counter
 	dedup       *obs.Counter
 	rejected    *obs.Counter
@@ -99,6 +112,9 @@ func newServiceMetrics(reg *obs.Registry, artifacts *sim.Cache) serviceMetrics {
 	if reg == nil {
 		return serviceMetrics{}
 	}
+	// Pull-based cache counters: evaluated at snapshot time against the
+	// service's artifact cache. Func replaces on re-registration, so each
+	// service re-points the metrics at its own cache.
 	reg.Func("sim.cache.graph_hits", func() int64 { return artifacts.Stats().GraphHits })
 	reg.Func("sim.cache.graph_misses", func() int64 { return artifacts.Stats().GraphMisses })
 	reg.Func("sim.cache.code_hits", func() int64 { return artifacts.Stats().CodeHits })
@@ -106,7 +122,11 @@ func newServiceMetrics(reg *obs.Registry, artifacts *sim.Cache) serviceMetrics {
 	return serviceMetrics{
 		submissions: reg.Counter("sweep.service.submissions"),
 		scenarios:   reg.Counter("sweep.service.scenarios"),
-		storeHits:   reg.Counter("sweep.service.store_hits"),
+		dups:        reg.Counter("sweep.service.dups"),
+		groups:      reg.Counter("sweep.service.groups"),
+		storeHits:   reg.Counter("sweep.store.hits"),
+		storeMisses: reg.Counter("sweep.store.misses"),
+		served:      reg.Counter("sweep.service.store_hits"),
 		executions:  reg.Counter("sweep.service.executions"),
 		dedup:       reg.Counter("sweep.service.singleflight_hits"),
 		rejected:    reg.Counter("sweep.service.rejected"),
@@ -114,21 +134,24 @@ func newServiceMetrics(reg *obs.Registry, artifacts *sim.Cache) serviceMetrics {
 	}
 }
 
+// task is one lane group of a job: the unique slots it resolves, and
+// how many submitted slots that covers (in-job duplicates included) for
+// the pending count.
 type task struct {
-	job *Job
-	idx int
+	job   *Job
+	lanes []int
+	slots int
 }
 
+// flightResult is what an owned lane publishes to the tasks waiting on
+// its hash.
 type flightResult struct {
 	rec Record
 	err error
-	// hit reports the flight resolved by the owner's in-flight store
-	// re-check rather than an execution (see runTask).
-	hit bool
 }
 
 // NewService starts a service over store: opts.Jobs resident workers
-// draining one shared scenario queue. Close releases them.
+// draining one shared lane-group queue. Close releases them.
 func NewService(store StoreEngine, opts ServiceOptions) *Service {
 	jobs := opts.Jobs
 	if jobs <= 0 {
@@ -162,9 +185,6 @@ func NewService(store StoreEngine, opts ServiceOptions) *Service {
 		jobs:       make(map[string]*Job),
 		m:          newServiceMetrics(opts.Metrics, artifacts),
 	}
-	if s.execute == nil {
-		s.execute = Execute
-	}
 	for w := 0; w < jobs; w++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -187,12 +207,46 @@ func (s *Service) Submit(scenarios []Scenario) (*Job, error) {
 			return nil, fmt.Errorf("sweep: submission scenario %d: %w", i, err)
 		}
 	}
+	return s.submit(scenarios)
+}
+
+// SubmitGrid expands g and submits it like Submit. A grid whose Size
+// exceeds MaxPending could never be admitted, so it is refused with
+// ErrBackpressure before it is expanded: a hostile replicate count costs
+// nothing proportional to itself.
+func (s *Service) SubmitGrid(g Grid) (*Job, error) {
+	if n := g.Size(); n > s.maxPending {
+		s.m.rejected.Inc()
+		return nil, fmt.Errorf("%w: grid of up to %d scenarios > %d", ErrBackpressure, n, s.maxPending)
+	}
+	scenarios, err := g.Expand()
+	if err != nil {
+		return nil, err
+	}
+	return s.Submit(scenarios)
+}
+
+// submit is Submit without validation: an invalid scenario fails its
+// own slot at execution, which is Run's keep-going contract.
+func (s *Service) submit(scenarios []Scenario) (*Job, error) {
+	// Duplicate specs inside one job run once: the first slot with a
+	// given hash owns execution, later ones copy its result. Hashes are
+	// computed once up front — they're SHA-256 over canonical JSON, too
+	// expensive to recompute per store lookup — and outside the lock.
 	hashes := make([]string, len(scenarios))
-	unique := make(map[string]struct{}, len(scenarios))
+	first := make(map[string]int, len(scenarios))
+	dups := make([][]int, len(scenarios))
+	var order []int
 	for i, sc := range scenarios {
 		hashes[i] = sc.Hash()
-		unique[hashes[i]] = struct{}{}
+		if f, ok := first[hashes[i]]; ok {
+			dups[f] = append(dups[f], i)
+			continue
+		}
+		first[hashes[i]] = i
+		order = append(order, i)
 	}
+	groups := sliceGroups(scenarios, order)
 
 	s.mu.Lock()
 	if s.closed {
@@ -211,23 +265,60 @@ func (s *Service) Submit(scenarios []Scenario) (*Job, error) {
 		id:        fmt.Sprintf("j%d", s.nextJob),
 		scenarios: scenarios,
 		hashes:    hashes,
+		unique:    order,
+		dups:      dups,
 		records:   make([]Record, len(scenarios)),
 		errs:      make([]error, len(scenarios)),
 		events:    make(chan Event, len(scenarios)),
 		done:      make(chan struct{}),
 		start:     time.Now(),
-		stats:     Stats{Total: len(scenarios), Unique: len(unique)},
+		stats:     Stats{Total: len(scenarios), Unique: len(order)},
 	}
 	s.jobs[j.id] = j
 	// Enqueue under the lock: pending accounting guarantees channel
-	// capacity, so these sends never block.
-	for i := range scenarios {
-		s.tasks <- task{job: j, idx: i}
+	// capacity (a job has no more groups than scenarios), so these
+	// sends never block.
+	for _, g := range groups {
+		slots := len(g)
+		for _, i := range g {
+			slots += len(dups[i])
+		}
+		s.tasks <- task{job: j, lanes: g, slots: slots}
 	}
 	s.mu.Unlock()
 	s.m.submissions.Inc()
 	s.m.scenarios.Add(int64(len(scenarios)))
+	s.m.dups.Add(int64(len(scenarios) - len(order)))
+	s.m.groups.Add(int64(len(groups)))
 	return j, nil
+}
+
+// sliceGroups partitions a job's unique slots (order) into execution
+// units. Scenarios whose engine advertises replicate-sliced execution
+// and that share a sliceKey (same spec up to replicate seeds) coalesce
+// into lane groups of at most 64; everything else — including invalid
+// scenarios, whose engine does not resolve — stays a singleton.
+// Grouping follows first-seen order, so scheduling remains
+// deterministic, and records are unaffected (slicing is pinned
+// byte-identical to serial execution).
+func sliceGroups(scenarios []Scenario, order []int) [][]int {
+	groups := make([][]int, 0, len(order))
+	byKey := make(map[Scenario]int)
+	for _, i := range order {
+		sc := scenarios[i]
+		if !slicedCapable(sc) {
+			groups = append(groups, []int{i})
+			continue
+		}
+		key := sliceKey(sc)
+		if gi, ok := byKey[key]; ok && len(groups[gi]) < 64 {
+			groups[gi] = append(groups[gi], i)
+			continue
+		}
+		byKey[key] = len(groups)
+		groups = append(groups, []int{i})
+	}
+	return groups
 }
 
 // Job returns a submitted job by ID.
@@ -270,53 +361,109 @@ func (s *Service) Close() {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for t := range s.tasks {
-		s.runTask(t)
+		s.runGroup(t)
 		s.mu.Lock()
-		s.pending--
+		s.pending -= t.slots
 		s.m.queueDepth.Set(int64(s.pending))
 		s.mu.Unlock()
 	}
 }
 
-// runTask resolves one scenario slot: store hit, singleflight share, or
-// owned execution (persisted on success). Shares count as cached — the
-// requester did no engine work — and increment the dedup counter.
+// runGroup resolves one lane group. Store hits are served lane by lane
+// and each miss is claimed in the singleflight group. The owned lanes
+// run together and are published before the task waits on any lane
+// another task had in flight, so no worker blocks while holding an
+// unpublished claim (two jobs claiming overlapping groups in opposite
+// orders cannot deadlock). Lanes served by another task's flight count
+// as cached: this job did no engine work.
 //
-// The store is checked twice: once before the flight (the fast path)
-// and again inside it. The re-check closes the exactly-once gap where a
-// task misses the store, the in-flight execution for the same hash then
-// lands (Put + key forgotten), and the task would otherwise start a
-// second execution of work the store already holds.
-func (s *Service) runTask(t task) {
-	hash := t.job.hashes[t.idx]
-	if rec, ok := s.store.Get(hash); ok {
-		s.m.storeHits.Inc()
-		t.job.report(t.idx, rec, true, nil)
-		return
+// The store is checked twice: once before the claim (the fast path) and
+// again inside an owned claim. The re-check closes the exactly-once gap
+// where a lane misses the store, the in-flight execution for the same
+// hash then lands (Put + key forgotten), and the claim would otherwise
+// start a second execution of work the store already holds.
+func (s *Service) runGroup(t task) {
+	j := t.job
+	type waiter struct {
+		slot int
+		fl   *sim.Flight[string, flightResult]
 	}
-	res, shared := s.flights.Do(hash, func() flightResult {
+	var (
+		own     []int
+		owned   []*sim.Flight[string, flightResult]
+		waiting []waiter
+	)
+	for _, i := range t.lanes {
+		hash := j.hashes[i]
 		if rec, ok := s.store.Get(hash); ok {
 			s.m.storeHits.Inc()
-			return flightResult{rec: rec, hit: true}
+			s.m.served.Inc()
+			j.report(i, rec, true, nil)
+			continue
 		}
-		s.m.executions.Inc()
-		rec, err := s.execute(t.job.scenarios[t.idx], s.exec)
-		if err == nil {
-			err = s.store.Put(rec)
+		s.m.storeMisses.Inc()
+		fl, owner := s.flights.Claim(hash)
+		if !owner {
+			waiting = append(waiting, waiter{i, fl})
+			continue
 		}
-		if err != nil {
-			err = fmt.Errorf("scenario %s: %w", hash, err)
+		if rec, ok := s.store.Get(hash); ok {
+			s.m.served.Inc()
+			fl.Publish(flightResult{rec: rec})
+			j.report(i, rec, true, nil)
+			continue
 		}
-		return flightResult{rec: rec, err: err}
-	})
-	if shared {
+		own = append(own, i)
+		owned = append(owned, fl)
+	}
+	if len(own) > 0 {
+		s.m.executions.Add(int64(len(own)))
+		for k, res := range s.runLanes(j, own) {
+			owned[k].Publish(res)
+			j.report(own[k], res.rec, false, res.err)
+		}
+	}
+	for _, w := range waiting {
+		res := w.fl.Wait()
 		s.m.dedup.Inc()
+		j.report(w.slot, res.rec, true, res.err)
 	}
-	if res.err != nil {
-		t.job.report(t.idx, Record{}, false, res.err)
-		return
+}
+
+// runLanes executes a task's owned lanes — one sliced pass for several,
+// Execute for one, the ExecuteFunc seam lane by lane — and persists
+// each success. The results are positionally parallel to lanes.
+func (s *Service) runLanes(j *Job, lanes []int) []flightResult {
+	res := make([]flightResult, len(lanes))
+	if len(lanes) > 1 && s.execute == nil {
+		scs := make([]Scenario, len(lanes))
+		hashes := make([]string, len(lanes))
+		for k, i := range lanes {
+			scs[k], hashes[k] = j.scenarios[i], j.hashes[i]
+		}
+		recs, err := executeSliced(scs, hashes, s.exec)
+		for k := range res {
+			if err != nil {
+				res[k].err = err
+			} else {
+				res[k].rec = recs[k]
+			}
+		}
+	} else {
+		execute := s.execute
+		if execute == nil {
+			execute = Execute
+		}
+		for k, i := range lanes {
+			res[k].rec, res[k].err = execute(j.scenarios[i], s.exec)
+		}
 	}
-	t.job.report(t.idx, res.rec, shared || res.hit, nil)
+	for k := range res {
+		if res[k].err == nil {
+			res[k].err = s.store.Put(res[k].rec)
+		}
+	}
+	return res
 }
 
 // Job is one accepted submission: a per-request result slice, progress
@@ -325,6 +472,10 @@ type Job struct {
 	id        string
 	scenarios []Scenario
 	hashes    []string
+	// unique lists the first slot of each hash; dups, per first slot,
+	// the later slots with its hash, which receive its outcome.
+	unique []int
+	dups   [][]int
 
 	mu      sync.Mutex
 	records []Record
@@ -350,24 +501,18 @@ func (j *Job) Events() <-chan Event { return j.events }
 // Done is closed when every scenario has completed.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Wait blocks until the job completes and returns it like Run would: a
-// record per input slot (zero on failure), batch stats, and the joined
-// scenario failures.
+// Wait blocks until the job completes and returns what Run returns: a
+// record per input slot (zero on failure), the job's stats, and one
+// error per failed unique scenario, joined.
 func (j *Job) Wait() ([]Record, Stats, error) {
 	<-j.done
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var failures []error
-	seen := make(map[string]struct{}, len(j.hashes))
-	for i, err := range j.errs {
-		if err == nil {
-			continue
+	for _, i := range j.unique {
+		if j.errs[i] != nil {
+			failures = append(failures, j.errs[i])
 		}
-		if _, dup := seen[j.hashes[i]]; dup {
-			continue // one failure per unique scenario, like Run
-		}
-		seen[j.hashes[i]] = struct{}{}
-		failures = append(failures, err)
 	}
 	return append([]Record(nil), j.records...), j.stats, errors.Join(failures...)
 }
@@ -420,10 +565,25 @@ func (j *Job) Records() []Record {
 	return append([]Record(nil), j.records...)
 }
 
-// report lands one slot's outcome: result slice, stats, event stream,
-// and — on the last slot — completion.
+// report lands one unique slot's outcome, and a copy on each of its
+// in-job duplicates: result slice, stats, event stream, and — on the
+// last slot — completion. A duplicate of a success counts as cached (no
+// engine work for that slot); a duplicate of a failure is a failure.
 func (j *Job) report(idx int, rec Record, cached bool, err error) {
+	if err != nil {
+		rec, cached = Record{}, false
+		err = fmt.Errorf("scenario %d (%s): %w", idx, j.hashes[idx], err)
+	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.land(idx, rec, cached, err)
+	for _, d := range j.dups[idx] {
+		j.land(d, rec, err == nil, err)
+	}
+}
+
+// land records one slot. Caller holds j.mu.
+func (j *Job) land(idx int, rec Record, cached bool, err error) {
 	j.records[idx], j.errs[idx] = rec, err
 	j.doneN++
 	switch {
@@ -446,5 +606,4 @@ func (j *Job) report(idx int, rec Record, cached bool, err error) {
 		close(j.events)
 		close(j.done)
 	}
-	j.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,5 +310,241 @@ func TestServiceFailure(t *testing.T) {
 	// One joined failure per unique hash, like Run.
 	if got := len(errors.Join(err).Error()); got == 0 {
 		t.Fatal("empty failure")
+	}
+}
+
+// replicateHeavyGrid is the 256-scenario replicate-heavy grid: 4
+// hard-family axis points × 64 replicates of TDMA gossip. The hard
+// family ignores GraphSeed, so each point's replicates form one full
+// 64-lane group.
+func replicateHeavyGrid(t *testing.T) []Scenario {
+	t.Helper()
+	scs, err := Grid{
+		Families: []string{FamilyHard}, Ns: []int{48, 64}, Params: []int{6, 8},
+		Epsilons: []float64{0}, Engines: []string{EngineTDMA}, Workloads: []string{WorkloadGossip},
+		Rounds: 3, Replicates: 64, BaseSeed: 2026,
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != 256 {
+		t.Fatalf("grid expanded to %d scenarios, want 256", len(scs))
+	}
+	return scs
+}
+
+// submitWait runs scenarios as one job on svc.
+func submitWait(t *testing.T, svc *Service, scs []Scenario) ([]Record, Stats) {
+	t.Helper()
+	job, err := svc.Submit(scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, st, err := job.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, st
+}
+
+// TestServiceSlicesReplicateGrid: the service runs the replicate-heavy
+// grid as four 64-lane sliced passes, and its records equal Run's and
+// one Execute per scenario, slot for slot (timing fields aside).
+func TestServiceSlicesReplicateGrid(t *testing.T) {
+	scs := replicateHeavyGrid(t)
+	reg := obs.NewRegistry()
+	svc := NewService(NewMemStore(), ServiceOptions{Jobs: 2, Metrics: reg})
+	defer svc.Close()
+	recs, st := submitWait(t, svc, scs)
+	if st.Ran != 256 || st.Cached != 0 || st.Failed != 0 {
+		t.Fatalf("stats: %+v, want run=256", st)
+	}
+	lanes := reg.Histogram("sweep.exec.sliced_lanes")
+	if lanes.Count() != 4 || lanes.Sum() != 256 {
+		t.Fatalf("sliced passes: %d covering %d lanes, want 4 passes of 64", lanes.Count(), lanes.Sum())
+	}
+	if n := reg.Counter("sweep.service.executions").Value(); n != 256 {
+		t.Fatalf("executions=%d, want 256 (scenarios, not groups)", n)
+	}
+
+	batch, _, err := Run(scs, NewMemStore(), Options{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := executeEach(t, scs)
+	for i := range scs {
+		got := canonLine(t, recs[i])
+		if want := canonLine(t, batch[i]); !bytes.Equal(got, want) {
+			t.Fatalf("slot %d differs between Service and Run:\n svc: %s\n run: %s", i, got, want)
+		}
+		if want := canonLine(t, serial[i]); !bytes.Equal(got, want) {
+			t.Fatalf("slot %d differs between Service and Execute:\n svc: %s\nexec: %s", i, got, want)
+		}
+	}
+}
+
+// TestServiceConcurrentSubmitsExactlyOnce: two jobs over the same cold
+// replicate grid, submitted back to back so their lane groups overlap
+// in flight, execute each scenario once between them and return the
+// same records.
+func TestServiceConcurrentSubmitsExactlyOnce(t *testing.T) {
+	scs := replicateHeavyGrid(t)
+	reg := obs.NewRegistry()
+	svc := NewService(NewMemStore(), ServiceOptions{Jobs: 2, Metrics: reg})
+	defer svc.Close()
+	job1, err := svc.Submit(scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job2, err := svc.Submit(scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs1, st1, err := job1.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs2, st2, err := job2.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("sweep.service.executions").Value(); n != 256 {
+		t.Fatalf("executions=%d, want 256 (one per unique scenario)", n)
+	}
+	if st1.Ran+st2.Ran != 256 || st1.Cached+st2.Cached != 256 || st1.Failed+st2.Failed != 0 {
+		t.Fatalf("job stats %+v and %+v, want 256 runs and 256 cached between them", st1, st2)
+	}
+	for i := range scs {
+		if a, b := canonLine(t, recs1[i]), canonLine(t, recs2[i]); !bytes.Equal(a, b) {
+			t.Fatalf("slot %d differs between the two jobs:\n%s\n%s", i, a, b)
+		}
+	}
+}
+
+// TestServicePartlyStoredGroupSlicesMisses: a lane group whose first 10
+// replicates are already stored serves them from the store and runs
+// one sliced pass over the 54 misses only.
+func TestServicePartlyStoredGroupSlicesMisses(t *testing.T) {
+	scs := replicateHeavyGrid(t)[:64] // one axis point: one lane group
+	store := NewMemStore()
+	for _, rec := range executeEach(t, scs[:10]) {
+		if err := store.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	svc := NewService(store, ServiceOptions{Jobs: 2, Metrics: reg})
+	defer svc.Close()
+	recs, st := submitWait(t, svc, scs)
+	if st.Cached != 10 || st.Ran != 54 || st.Failed != 0 {
+		t.Fatalf("stats: %+v, want cached=10 run=54", st)
+	}
+	lanes := reg.Histogram("sweep.exec.sliced_lanes")
+	if lanes.Count() != 1 || lanes.Sum() != 54 {
+		t.Fatalf("sliced passes: %d covering %d lanes, want one pass of 54", lanes.Count(), lanes.Sum())
+	}
+	if n := reg.Counter("sweep.store.hits").Value(); n != 10 {
+		t.Fatalf("sweep.store.hits=%d, want 10", n)
+	}
+	serial := executeEach(t, scs)
+	for i := range scs {
+		if got, want := canonLine(t, recs[i]), canonLine(t, serial[i]); !bytes.Equal(got, want) {
+			t.Fatalf("replicate %d differs from Execute:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
+
+// slowStore delays every lookup's answer, so two workers walking lane
+// groups interleave their claims instead of one finishing before the
+// other starts, and a flight can land between a worker's store miss and
+// its claim.
+type slowStore struct{ StoreEngine }
+
+func (s slowStore) Get(hash string) (Record, bool) {
+	rec, ok := s.StoreEngine.Get(hash)
+	time.Sleep(20 * time.Microsecond)
+	return rec, ok
+}
+
+// TestServiceOppositeOrderGroups: two jobs submit the same 64-lane group
+// in opposite slot orders over a slow store, so their workers meet in
+// the middle — each owns some lanes and waits on the rest, the shape
+// that deadlocks a worker waiting before it publishes. Repeated to vary
+// the interleaving (run under -race): every round completes, executes
+// each lane exactly once (the in-flight store re-check catches lanes
+// published between a worker's store miss and its claim), and hands
+// both jobs the same records.
+func TestServiceOppositeOrderGroups(t *testing.T) {
+	scs, err := replicateGrid(64).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev := make([]Scenario, len(scs))
+	for i, sc := range scs {
+		rev[len(scs)-1-i] = sc
+	}
+	for round := 0; round < 20; round++ {
+		var calls atomic.Int32
+		svc := NewService(slowStore{NewMemStore()}, ServiceOptions{
+			Jobs: 2,
+			ExecuteFunc: func(s Scenario, _ ExecOptions) (Record, error) {
+				calls.Add(1)
+				return Record{Hash: s.Hash(), Spec: s}, nil
+			},
+		})
+		a, err := svc.Submit(scs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := svc.Submit(rev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range []*Job{a, b} {
+			select {
+			case <-j.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: job %s never completed", round, j.ID())
+			}
+		}
+		ra, _, errA := a.Wait()
+		rb, _, errB := b.Wait()
+		if errA != nil || errB != nil {
+			t.Fatalf("round %d: %v / %v", round, errA, errB)
+		}
+		if n := calls.Load(); n != int32(len(scs)) {
+			t.Fatalf("round %d: %d executions for %d lanes", round, n, len(scs))
+		}
+		for i := range scs {
+			if ra[i].Hash != rb[len(scs)-1-i].Hash || ra[i].Hash != scs[i].Hash() {
+				t.Fatalf("round %d: slot %d records disagree", round, i)
+			}
+		}
+		svc.Close()
+	}
+}
+
+// TestServiceSubmitGridRefusesOversized: a grid whose Size exceeds
+// MaxPending is refused with ErrBackpressure without being expanded (a
+// 2⁴⁰-replicate grid would never finish expanding); one that fits is
+// expanded and admitted.
+func TestServiceSubmitGridRefusesOversized(t *testing.T) {
+	reg := obs.NewRegistry()
+	svc := NewService(NewMemStore(), ServiceOptions{Jobs: 1, MaxPending: 8, Metrics: reg})
+	defer svc.Close()
+	g := serviceGrid()
+	g.Replicates = 1 << 40
+	if _, err := svc.SubmitGrid(g); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("oversized grid: err=%v, want ErrBackpressure", err)
+	}
+	if n := reg.Counter("sweep.service.rejected").Value(); n != 1 {
+		t.Fatalf("rejected=%d, want 1", n)
+	}
+	job, err := svc.SubmitGrid(serviceGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err := job.Wait(); err != nil || st.Total != 4 {
+		t.Fatalf("fitting grid: stats=%+v err=%v", st, err)
 	}
 }

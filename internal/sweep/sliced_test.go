@@ -36,9 +36,20 @@ func encodeZeroed(t *testing.T, rec Record) []byte {
 	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 }
 
+// executeEach is the serial reference of the sliced conformance tests:
+// one Execute per scenario, the definition of the unsliced path.
+func executeEach(t *testing.T, scs []Scenario) []Record {
+	t.Helper()
+	recs := make([]Record, len(scs))
+	for i, sc := range scs {
+		recs[i] = execOrFatal(t, sc)
+	}
+	return recs
+}
+
 // TestSliceGroups pins the lane-group scheduler: full-word splitting,
-// the non-capable-engine and disabled fallbacks, and the graph-seed
-// rule that keeps random families out of groups.
+// the non-capable-engine fallback, and the graph-seed rule that keeps
+// random families out of groups.
 func TestSliceGroups(t *testing.T) {
 	base := Scenario{
 		Family: FamilyGrid, Param: 3, Epsilon: 0.1,
@@ -57,15 +68,10 @@ func TestSliceGroups(t *testing.T) {
 	}
 
 	// 70 replicates of one point overflow a word: 64 + 6.
-	groups := sliceGroups(scs, order, false)
+	groups := sliceGroups(scs, order)
 	if len(groups) != 2 || len(groups[0]) != 64 || len(groups[1]) != 6 {
 		t.Fatalf("70 replicates grouped as %d groups (sizes %d, ...), want 64+6",
 			len(groups), len(groups[0]))
-	}
-
-	// Disabled: everything is a singleton.
-	if groups := sliceGroups(scs, order, true); len(groups) != 70 {
-		t.Fatalf("DisableSlicing grouped %d groups, want 70 singletons", len(groups))
 	}
 
 	// A non-capable engine interleaved in the same order stays serial
@@ -76,7 +82,7 @@ func TestSliceGroups(t *testing.T) {
 			mixed[i].Engine = EngineAlg1
 		}
 	}
-	groups = sliceGroups(mixed, order[:8], false)
+	groups = sliceGroups(mixed, order[:8])
 	if len(groups) != 5 {
 		t.Fatalf("mixed engines grouped as %d groups, want 5 (one tdma group + 4 alg1 singletons)", len(groups))
 	}
@@ -97,16 +103,16 @@ func TestSliceGroups(t *testing.T) {
 		random[i].N = 12
 		random[i].Param = 2
 	}
-	if groups := sliceGroups(random, order[:4], false); len(groups) != 4 {
+	if groups := sliceGroups(random, order[:4]); len(groups) != 4 {
 		t.Fatalf("regular-family replicates grouped as %d groups, want 4 singletons", len(groups))
 	}
 }
 
 // TestSlicedSweepByteIdentical is the sweep-level acceptance property:
-// a 64-replicate grid stores byte-identical JSONL records (timing
-// fields aside) with replicate slicing on and off, and both paths
-// report every scenario as engine work (grouping is an execution
-// detail, not a caching effect).
+// a 64-replicate grid run through the sliced scheduler stores
+// byte-identical JSONL records (timing fields aside) to one Execute per
+// scenario, and reports every scenario as engine work (grouping is an
+// execution detail, not a caching effect).
 func TestSlicedSweepByteIdentical(t *testing.T) {
 	scs, err := replicateGrid(64).Expand()
 	if err != nil {
@@ -115,19 +121,14 @@ func TestSlicedSweepByteIdentical(t *testing.T) {
 	if len(scs) != 64 {
 		t.Fatalf("grid expanded to %d scenarios, want 64", len(scs))
 	}
-	sliced, stOn, err := Run(scs, NewMemStore(), Options{Jobs: 2})
+	sliced, st, err := Run(scs, NewMemStore(), Options{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, stOff, err := Run(scs, NewMemStore(), Options{Jobs: 2, DisableSlicing: true})
-	if err != nil {
-		t.Fatal(err)
+	if st.Ran != 64 || st.Cached != 0 || st.Failed != 0 {
+		t.Fatalf("stats: %+v, want run=64 cached=0 failed=0", st)
 	}
-	for _, st := range []Stats{stOn, stOff} {
-		if st.Ran != 64 || st.Cached != 0 || st.Failed != 0 {
-			t.Fatalf("stats: %+v, want run=64 cached=0 failed=0", st)
-		}
-	}
+	serial := executeEach(t, scs)
 	for i := range scs {
 		got, want := encodeZeroed(t, sliced[i]), encodeZeroed(t, serial[i])
 		if !bytes.Equal(got, want) {
@@ -139,7 +140,7 @@ func TestSlicedSweepByteIdentical(t *testing.T) {
 
 // TestSlicedPartialCacheHits: records already in the store drop out of
 // a lane group member-by-member; the remainder still runs sliced and
-// lands byte-identical to a fully serial sweep.
+// lands byte-identical to one Execute per scenario.
 func TestSlicedPartialCacheHits(t *testing.T) {
 	scs, err := replicateGrid(64).Expand()
 	if err != nil {
@@ -155,8 +156,10 @@ func TestSlicedPartialCacheHits(t *testing.T) {
 		t.Fatalf("warm subset has %d scenarios, want 10", len(warm))
 	}
 	store := NewMemStore()
-	if _, _, err := Run(warm, store, Options{Jobs: 1, DisableSlicing: true}); err != nil {
-		t.Fatal(err)
+	for _, rec := range executeEach(t, warm) {
+		if err := store.Put(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	recs, st, err := Run(scs, store, Options{Jobs: 1})
 	if err != nil {
@@ -165,10 +168,7 @@ func TestSlicedPartialCacheHits(t *testing.T) {
 	if st.Cached != 10 || st.Ran != 54 || st.Failed != 0 {
 		t.Fatalf("stats: %+v, want cached=10 run=54", st)
 	}
-	serial, _, err := Run(scs, NewMemStore(), Options{Jobs: 1, DisableSlicing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := executeEach(t, scs)
 	for i := range scs {
 		if got, want := encodeZeroed(t, recs[i]), encodeZeroed(t, serial[i]); !bytes.Equal(got, want) {
 			t.Fatalf("replicate %d differs after partial cache short-circuit:\n got %s\nwant %s",
@@ -179,8 +179,8 @@ func TestSlicedPartialCacheHits(t *testing.T) {
 
 // TestSlicedMixedEngineGrid: a grid mixing sliced-capable and
 // non-capable engines (with a non-default noise model and a replicate
-// count that doesn't fill a word) produces identical records with
-// slicing on and off.
+// count that doesn't fill a word) produces the same records through the
+// sliced scheduler as one Execute per scenario.
 func TestSlicedMixedEngineGrid(t *testing.T) {
 	g := Grid{
 		Families:   []string{FamilyGrid},
@@ -197,20 +197,14 @@ func TestSlicedMixedEngineGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliced, stOn, err := Run(scs, NewMemStore(), Options{Jobs: 3})
+	sliced, st, err := Run(scs, NewMemStore(), Options{Jobs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, stOff, err := Run(scs, NewMemStore(), Options{Jobs: 3, DisableSlicing: true})
-	if err != nil {
-		t.Fatal(err)
+	if st.Total != len(scs) || st.Unique != len(scs) || st.Ran != len(scs) || st.Cached != 0 || st.Failed != 0 {
+		t.Fatalf("stats: %+v, want every one of %d scenarios run", st, len(scs))
 	}
-	if !reflect.DeepEqual(
-		Stats{Total: stOn.Total, Unique: stOn.Unique, Ran: stOn.Ran, Cached: stOn.Cached, Failed: stOn.Failed},
-		Stats{Total: stOff.Total, Unique: stOff.Unique, Ran: stOff.Ran, Cached: stOff.Cached, Failed: stOff.Failed},
-	) {
-		t.Fatalf("stats differ sliced vs serial: %+v vs %+v", stOn, stOff)
-	}
+	serial := executeEach(t, scs)
 	for i := range scs {
 		if got, want := encodeZeroed(t, sliced[i]), encodeZeroed(t, serial[i]); !bytes.Equal(got, want) {
 			t.Fatalf("scenario %d (%s/%s) differs sliced vs serial:\n got %s\nwant %s",
@@ -224,20 +218,20 @@ func TestExecuteSlicedValidation(t *testing.T) {
 		Family: FamilyGrid, Param: 2, Epsilon: 0.1,
 		Engine: EngineTDMA, Workload: WorkloadGossip, Rounds: 2,
 	}
-	if _, err := ExecuteSliced(nil, ExecOptions{}); err == nil {
+	if _, err := executeSliced(nil, nil, ExecOptions{}); err == nil {
 		t.Error("empty group accepted")
 	}
-	if _, err := ExecuteSliced(make([]Scenario, 65), ExecOptions{}); err == nil {
+	if _, err := executeSliced(make([]Scenario, 65), make([]string, 65), ExecOptions{}); err == nil {
 		t.Error("65-lane group accepted")
 	}
 	a, b := base, base
 	b.Epsilon = 0.2
-	if _, err := ExecuteSliced([]Scenario{a, b}, ExecOptions{}); err == nil {
+	if _, err := executeSliced([]Scenario{a, b}, []string{a.Hash(), b.Hash()}, ExecOptions{}); err == nil {
 		t.Error("group mixing ε accepted")
 	}
 	c := base
 	c.Engine = EngineAlg1
-	if _, err := ExecuteSliced([]Scenario{c, c}, ExecOptions{}); err == nil {
+	if _, err := executeSliced([]Scenario{c, c}, []string{c.Hash(), c.Hash()}, ExecOptions{}); err == nil {
 		t.Error("non-sliced-capable engine accepted")
 	}
 
@@ -245,7 +239,7 @@ func TestExecuteSlicedValidation(t *testing.T) {
 	a, b = base, base
 	a.ChannelSeed, a.AlgSeed = 10, 11
 	b.Replicate, b.ChannelSeed, b.AlgSeed = 1, 20, 21
-	recs, err := ExecuteSliced([]Scenario{a, b}, ExecOptions{})
+	recs, err := executeSliced([]Scenario{a, b}, []string{a.Hash(), b.Hash()}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +255,7 @@ func TestExecuteSlicedValidation(t *testing.T) {
 }
 
 // TestGoldenPR4RecordsViaSlicedBatch routes the pinned PR 4 grid
-// through the batch scheduler with slicing enabled: the stored records
+// through the slicing scheduler (Run): the stored records
 // must remain byte-identical to the golden file written by the PR 4
 // tree, proving the sliced path invisible across repo generations.
 func TestGoldenPR4RecordsViaSlicedBatch(t *testing.T) {

@@ -17,7 +17,8 @@
 //
 // The layers, bottom up: Scenario (this file) — the spec and its hash;
 // Execute (exec.go) — one spec to one Record; Store (store.go) — the
-// JSONL result store; Run (batch.go) — the concurrent batch scheduler;
+// JSONL result store; Service (service.go) — the concurrent, slicing
+// scheduler, with Run (batch.go) its one-shot Submit+Wait form;
 // Grid (grid.go) — declarative axis expansion; Aggregate (agg.go) —
 // group-by with replicate statistics. internal/experiments routes its
 // T4/T6/A4 tables through this package.
@@ -233,12 +234,16 @@ func (sc Scenario) Hash() string {
 // the graph is a pure function of (Family, N, Param, GraphSeed) — exactly
 // a sim.GraphKey, with the worker count byte-invisible by the streaming
 // builder's contract — so scenarios differing only in other axes share
-// one instance. A nil cache builds directly.
+// one instance. Families that ignore GraphSeed (graphSeedMatters) key
+// with a zero seed, the rule sliceKey uses too, so their replicates share
+// one graph even though grid expansion varies their GraphSeed. A nil
+// cache builds directly.
 func (sc Scenario) buildGraphCached(cache *sim.Cache, genWorkers int) (*graph.Graph, error) {
-	return cache.Graph(
-		sim.GraphKey{Family: sc.Family, N: sc.N, Param: sc.Param, Seed: sc.GraphSeed},
-		func() (*graph.Graph, error) { return sc.BuildGraphWorkers(genWorkers) },
-	)
+	key := sim.GraphKey{Family: sc.Family, N: sc.N, Param: sc.Param, Seed: sc.GraphSeed}
+	if !graphSeedMatters(sc.Family) {
+		key.Seed = 0
+	}
+	return cache.Graph(key, func() (*graph.Graph, error) { return sc.BuildGraphWorkers(genWorkers) })
 }
 
 // BuildGraph constructs the scenario's graph from Family, N, Param, and

@@ -192,7 +192,7 @@ func TestBatchDuplicateFailureEvents(t *testing.T) {
 	}
 }
 
-// TestBatchMetricsCounts: the batch scheduler's own counters reflect
+// TestBatchMetricsCounts: the scheduler counters Run reports reflect
 // dedup, store traffic, and group shapes.
 func TestBatchMetricsCounts(t *testing.T) {
 	sc := baseSpec()
@@ -204,8 +204,8 @@ func TestBatchMetricsCounts(t *testing.T) {
 	if st.Unique != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if got := reg.Counter("sweep.batch.dups").Value(); got != 2 {
-		t.Errorf("sweep.batch.dups = %d, want 2", got)
+	if got := reg.Counter("sweep.service.dups").Value(); got != 2 {
+		t.Errorf("sweep.service.dups = %d, want 2", got)
 	}
 	if got := reg.Counter("sweep.store.misses").Value(); got != 1 {
 		t.Errorf("sweep.store.misses = %d, want 1", got)
@@ -213,8 +213,8 @@ func TestBatchMetricsCounts(t *testing.T) {
 	if got := reg.Counter("sweep.store.hits").Value(); got != 0 {
 		t.Errorf("sweep.store.hits = %d, want 0", got)
 	}
-	if got := reg.Counter("sweep.batch.groups").Value(); got != 1 {
-		t.Errorf("sweep.batch.groups = %d, want 1", got)
+	if got := reg.Counter("sweep.service.groups").Value(); got != 1 {
+		t.Errorf("sweep.service.groups = %d, want 1", got)
 	}
 
 	// Second run against a warm store: the unique spec is a store hit.
