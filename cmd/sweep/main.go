@@ -4,9 +4,12 @@
 // table. Engines and workloads come from the internal/sim registries —
 // every registered workload (gossip, mis, coloring, leader, matching,
 // bfstree) runs on every compatible engine. Results persist as JSONL
-// (one record per scenario, keyed by the spec's content hash), so
-// re-running an overlapping grid — or resuming after an interrupt —
-// skips every scenario already in the store; within one batch, graphs
+// (one record per scenario, keyed by the spec's content hash) through
+// sweep.IndexedStore, the same file engine sweepd serves from: the open
+// reads the <store>.idx sidecar offset index (rebuilding it by one
+// rescan when it is missing or stale) and every cache hit is one disk
+// seek. Re-running an overlapping grid — or resuming after an interrupt
+// — skips every scenario already in the store; within one batch, graphs
 // and code tables are built once and shared across scenarios.
 //
 // Usage:
@@ -173,21 +176,24 @@ func telemetryPath(storePath string) string {
 	return strings.TrimSuffix(storePath, ".jsonl") + ".telemetry.jsonl"
 }
 
-func run(grid sweep.Grid, cfg cliConfig) error {
+func run(grid sweep.Grid, cfg cliConfig) (err error) {
 	scenarios, err := grid.Expand()
 	if err != nil {
 		return err
 	}
 
-	store := sweep.NewMemStore()
+	var store sweep.StoreEngine = sweep.NewMemStore()
 	if cfg.storePath != "" {
-		if store, err = sweep.Open(cfg.storePath); err != nil {
+		var indexed *sweep.IndexedStore
+		if indexed, err = sweep.OpenIndexed(cfg.storePath); err != nil {
 			return err
 		}
-		defer store.Close()
-		if d := store.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: store %s: dropped %d invalid line(s)\n", cfg.storePath, d)
+		// Close writes the sidecar index; its failure fails the run.
+		defer func() { err = errors.Join(err, indexed.Close()) }()
+		if d := indexed.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "sweep: store %s: dropped %d invalid line(s) during index rebuild\n", cfg.storePath, d)
 		}
+		store = indexed
 	}
 
 	if cfg.frontier {
@@ -293,7 +299,7 @@ func strictErr(records []sweep.Record) error {
 // runFrontier is the -frontier mode: every expanded scenario's
 // adversary budget is a ceiling; bisect for the minimal breaking
 // budget, all probes served through the store.
-func runFrontier(scenarios []sweep.Scenario, store *sweep.Store, cfg cliConfig) error {
+func runFrontier(scenarios []sweep.Scenario, store sweep.StoreEngine, cfg cliConfig) error {
 	// Frontier probes run one at a time, so each gets the whole machine
 	// (mirroring the batch scheduler's jobs=1 behavior).
 	workers := cfg.workers

@@ -78,7 +78,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer store.Close()
 	if d := store.Dropped(); d > 0 {
 		fmt.Fprintf(os.Stderr, "sweepd: store %s: dropped %d invalid line(s) during index rebuild\n", *storePath, d)
 	}
@@ -89,7 +88,6 @@ func main() {
 		MaxPending: *maxPending, MaxRoundsFactor: *maxRF,
 		Artifacts: sim.NewCache(), Metrics: reg,
 	})
-	defer svc.Close()
 
 	srv := newServer(store, svc, reg)
 	ln, err := net.Listen("tcp", *addr)
@@ -102,7 +100,7 @@ func main() {
 	httpSrv := &http.Server{Handler: srv}
 	go func() {
 		// Orderly shutdown on SIGINT/SIGTERM: stop the listener so the
-		// deferred service drain and store close (index sidecar rewrite)
+		// service drain and store close (index sidecar rewrite) below
 		// run instead of dying mid-append.
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -113,6 +111,10 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "sweepd: shutting down")
+	svc.Close()
+	if err := store.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "sweepd: close store %s: %v\n", *storePath, err)
+	}
 }
 
 func fatal(err error) {

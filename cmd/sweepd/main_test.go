@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -164,7 +165,7 @@ func TestSweepdEndToEnd(t *testing.T) {
 	base := ts.URL
 
 	// The reference: the batch path over the same scenarios.
-	refStore, err := sweep.Open(filepath.Join(t.TempDir(), "ref.jsonl"))
+	refStore, err := sweep.OpenIndexed(filepath.Join(t.TempDir(), "ref.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,18 +270,23 @@ func TestSweepdEndToEnd(t *testing.T) {
 	}
 }
 
-// waitForFlightWaiter polls goroutine stacks until a goroutine sits in
-// a singleflight wait (sim.Flight.Wait) — the second submission's task
-// joined the flight whose owner is blocked in the test's ExecuteFunc —
-// so a release at that point deterministically exercises the share
-// path.
+// serviceFlightWait matches a goroutine stack in which a sim.Flight.Wait
+// frame is called directly by the sweep service worker's runGroup — a
+// scenario-level singleflight wait, not an artifact-cache wait (which
+// sim.Cache also does on a Flight, deeper inside an execution).
+var serviceFlightWait = regexp.MustCompile(`sim\.\(\*Flight\[\.\.\.\]\)\.Wait\(.*\)\n\t.*\nrepro/internal/sweep\.\(\*Service\)\.runGroup\(`)
+
+// waitForFlightWaiter polls goroutine stacks until a service worker sits
+// in a scenario singleflight wait — the second submission's task joined
+// the flight whose owner is blocked in the test's ExecuteFunc — so a
+// release at that point deterministically exercises the share path.
 func waitForFlightWaiter(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<22)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if strings.Contains(stacks, "sim.(*Flight[...]).Wait") {
+		stacks := buf[:runtime.Stack(buf, true)]
+		if serviceFlightWait.Match(stacks) {
 			return
 		}
 		if time.Now().After(deadline) {

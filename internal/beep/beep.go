@@ -119,13 +119,12 @@ type Params struct {
 // netMetrics are the network's resolved telemetry handles; the zero
 // value (all nil) is the disabled state and every update no-ops.
 type netMetrics struct {
-	rounds   *obs.Counter // channel rounds advanced
-	windows  *obs.Counter // batch windows executed (RunPhaseInto calls)
-	beeps    *obs.Counter // energy: beeps transmitted
-	flips    *obs.Counter // applied noise flips, named per model
-	spent    *obs.Counter // adversarial budget spent (noise.adversary.spent)
-	windowT  *obs.Timer   // wall time per batch window
-	frontier *obs.Gauge   // peak driven-node count per RunSparse call
+	rounds  *obs.Counter // channel rounds advanced
+	windows *obs.Counter // batch windows executed (RunPhaseInto calls)
+	beeps   *obs.Counter // energy: beeps transmitted
+	flips   *obs.Counter // applied noise flips, named per model
+	spent   *obs.Counter // adversarial budget spent (noise.adversary.spent)
+	windowT *obs.Timer   // wall time per batch window
 }
 
 // Network is a beeping network over a fixed graph. It maintains a global
@@ -205,12 +204,11 @@ func NewNetwork(g *graph.Graph, params Params) (*Network, error) {
 	}
 	if reg := params.Metrics; reg != nil {
 		nw.m = netMetrics{
-			rounds:   reg.Counter("beep.rounds"),
-			windows:  reg.Counter("beep.windows"),
-			beeps:    reg.Counter("beep.beeps"),
-			flips:    reg.Counter("noise.flips." + model.Name()),
-			windowT:  reg.Timer("beep.window_nanos"),
-			frontier: reg.Gauge("beep.frontier.peak"),
+			rounds:  reg.Counter("beep.rounds"),
+			windows: reg.Counter("beep.windows"),
+			beeps:   reg.Counter("beep.beeps"),
+			flips:   reg.Counter("noise.flips." + model.Name()),
+			windowT: reg.Timer("beep.window_nanos"),
 		}
 		if model.Name() == noise.NameAdversary {
 			// Budget accounting: adversarial corruptions are flips the

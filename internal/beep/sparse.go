@@ -48,15 +48,15 @@ type QuietProgram interface {
 // Summaries are second-level bitsets: bit w of summary word w>>6 marks
 // the bitstring word w as dirty.
 type sparseState struct {
-	active, next   *bitstring.BitString // driven-by-schedule, this / next round
-	beeped, heard  *bitstring.BitString
-	done           *bitstring.BitString
-	activeSum      []uint64 // dirty words of active (and so of beeped)
-	nextSum        []uint64
-	hearSum        []uint64 // dirty words of heard
-	buckets        map[int][]int32 // wake round -> sleeping nodes
-	doneCount      int
-	peak           int // peak driven-node count (frontier occupancy)
+	active, next  *bitstring.BitString // driven-by-schedule, this / next round
+	beeped, heard *bitstring.BitString
+	done          *bitstring.BitString
+	activeSum     []uint64 // dirty words of active (and so of beeped)
+	nextSum       []uint64
+	hearSum       []uint64        // dirty words of heard
+	buckets       map[int][]int32 // wake round -> sleeping nodes
+	doneCount     int
+	peak          int // peak driven-node count (frontier occupancy)
 }
 
 // activate marks v active in b and its word dirty in sum.
@@ -309,7 +309,9 @@ func (nw *Network) RunSparse(progs []Program, maxRounds int) (*Result, error) {
 	if !allDone {
 		allDone = st.doneCount == n
 	}
-	nw.m.frontier.Set(int64(st.peak))
+	// Registered here, not in NewNetwork, so only a sparse run exports
+	// the gauge: a dense run has no frontier to report.
+	nw.params.Metrics.Gauge("beep.frontier.peak").Set(int64(st.peak))
 	outputs := make([]any, n)
 	for v, p := range progs {
 		outputs[v] = p.Output()

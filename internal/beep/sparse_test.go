@@ -272,3 +272,30 @@ func TestSparseFrontierGauge(t *testing.T) {
 		t.Fatalf("peak frontier %d on a path; want a handful of nodes, not Θ(n)", peak)
 	}
 }
+
+// TestDenseRunExportsNoFrontierGauge: the frontier gauge belongs to the
+// sparse driver. A dense Run with a registry must not export a
+// beep.frontier.peak that can only ever read 0.
+func TestDenseRunExportsNoFrontierGauge(t *testing.T) {
+	g := graph.Path(64)
+	reg := obs.NewRegistry()
+	nw, err := NewNetwork(g, Params{Seed: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := make([]Program, g.N())
+	for v := range progs {
+		progs[v] = &AlarmFlood{Source: v == 0}
+	}
+	if _, err := nw.Run(progs, g.N()+2); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range reg.Snapshot() {
+		if m.Name == "beep.frontier.peak" {
+			t.Fatalf("dense run exported %s = %d", m.Name, m.Value)
+		}
+	}
+	if reg.Counter("beep.rounds").Value() == 0 {
+		t.Fatal("dense run recorded no rounds: the registry was not attached")
+	}
+}

