@@ -147,6 +147,10 @@ func BenchmarkT4BroadcastRound(b *testing.B) {
 			benchGossipRound(b, n, 8, 0.1)
 		})
 	}
+	// The largest Algorithm 1 point of perfbench's grid-cold workload.
+	b.Run("n=128,delta=8,eps=0.05", func(b *testing.B) {
+		benchGossipRound(b, 128, 8, 0.05)
+	})
 }
 
 // BenchmarkT5CongestRound measures one CONGEST round via Corollary 12's

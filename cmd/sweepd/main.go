@@ -42,6 +42,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -97,7 +98,15 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sweepd: store %s (%d records), serving on http://%s\n",
 		*storePath, store.Len(), ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv}
+	// Slow or idle clients cannot pin connections: headers must arrive
+	// promptly and keep-alive connections close when idle. No read or
+	// write timeout covers bodies, since /jobs/{id}/events streams for a
+	// job's whole run.
+	httpSrv := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go func() {
 		// Orderly shutdown on SIGINT/SIGTERM: stop the listener so the
 		// service drain and store close (index sidecar rewrite) below

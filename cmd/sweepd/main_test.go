@@ -432,6 +432,28 @@ func TestSweepdRefusesOversizedGrid(t *testing.T) {
 	waitJob(t, ts.URL, submitGrid(t, ts.URL, testGrid).Status)
 }
 
+// TestSweepdRefusesOversizedBody: a submission body over maxGridBytes is
+// refused with 413 without being decoded. The padding comes before a
+// valid grid, so a decoder that read past the cap would admit the job.
+func TestSweepdRefusesOversizedBody(t *testing.T) {
+	ts, reg := newTestDaemon(t, sweep.ServiceOptions{Jobs: 1})
+	body := strings.Repeat(" ", maxGridBytes) + testGrid
+	resp, err := http.Post(ts.URL+"/grids", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %s %s, want 413", resp.Status, msg)
+	}
+	if n := reg.Counter("sweep.service.submissions").Value(); n != 0 {
+		t.Fatalf("sweep.service.submissions=%d after a refused body, want 0", n)
+	}
+	// A body under the cap is still admitted.
+	waitJob(t, ts.URL, submitGrid(t, ts.URL, testGrid).Status)
+}
+
 // TestSweepdHealthz: liveness endpoint.
 func TestSweepdHealthz(t *testing.T) {
 	ts, _ := newTestDaemon(t, sweep.ServiceOptions{Jobs: 1})

@@ -12,6 +12,10 @@ import (
 	"repro/internal/sweep"
 )
 
+// maxGridBytes caps a POST /grids body; a grid request is a few hundred
+// bytes of JSON, so anything near the cap is refused with 413 unread.
+const maxGridBytes = 1 << 20
+
 // server is the sweepd HTTP surface over one StoreEngine and one
 // long-lived sweep.Service. All endpoints are JSON; list-shaped
 // responses are JSONL so they stream.
@@ -138,10 +142,15 @@ type submitResponse struct {
 // expansion, a grid too large for the service ever to admit.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var gr gridRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGridBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&gr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad grid body: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad grid body: %w", err))
 		return
 	}
 	job, err := s.svc.SubmitGrid(gr.grid())

@@ -48,10 +48,9 @@ type BeepCode interface {
 // collide in each block independently with probability 1/BlockSize.
 //
 // The PRG hash behind Offset is paid once, at construction: the code
-// carries flat per-codeword position and offset tables, cached codeword
-// masks (Mask), and — built lazily on first use — per-block offset→codeword
-// collision buckets (Bucket). These read-only tables are what make the §4
-// decoder's hot path word-parallel and hash-free.
+// carries a flat per-codeword position table and cached codeword masks
+// (Mask). These read-only tables are what make the §4 decoder's hot path
+// word-parallel and hash-free.
 type BlockedBeepCode struct {
 	weight    int
 	blockSize int
@@ -59,12 +58,7 @@ type BlockedBeepCode struct {
 	seed      uint64
 
 	positions []int32                // flat m×weight: Position(cw, i) = positions[cw*weight+i]
-	offsets   []int32                // flat m×weight: Offset(cw, i) = offsets[cw*weight+i]
 	masks     []*bitstring.BitString // cached codewords, shared read-only
-
-	collideOnce sync.Once
-	bucketStart []int32 // CSR over (block, offset) cells, length weight·blockSize+1
-	bucketCW    []int32 // codewords grouped by cell, ascending within each
 }
 
 // NewBlockedBeepCode constructs a blocked beep code with the given weight
@@ -76,7 +70,6 @@ func NewBlockedBeepCode(weight, blockSize, m int, seed uint64) (*BlockedBeepCode
 	}
 	c := &BlockedBeepCode{weight: weight, blockSize: blockSize, m: m, seed: seed}
 	c.positions = make([]int32, m*weight)
-	c.offsets = make([]int32, m*weight)
 	c.masks = make([]*bitstring.BitString, m)
 	length := c.Length()
 	for cw := 0; cw < m; cw++ {
@@ -85,7 +78,6 @@ func NewBlockedBeepCode(weight, blockSize, m int, seed uint64) (*BlockedBeepCode
 		for i := 0; i < weight; i++ {
 			off := int32(rng.Mix(seed, uint64(cw), uint64(i)) % uint64(blockSize))
 			pos := int32(i*blockSize) + off
-			c.offsets[row+i] = off
 			c.positions[row+i] = pos
 			mask.Set(int(pos))
 		}
@@ -108,7 +100,7 @@ func (c *BlockedBeepCode) NumCodewords() int { return c.m }
 
 // Offset returns the within-block offset of codeword cw's 1 in block i.
 func (c *BlockedBeepCode) Offset(cw, i int) int {
-	return int(c.offsets[cw*c.weight+i])
+	return int(c.positions[cw*c.weight+i]) - i*c.blockSize
 }
 
 // HashOffset recomputes Offset(cw, i) from the PRG definition, bypassing
@@ -129,12 +121,6 @@ func (c *BlockedBeepCode) PositionRow(cw int) []int32 {
 	return c.positions[cw*c.weight : (cw+1)*c.weight : (cw+1)*c.weight]
 }
 
-// OffsetRow returns codeword cw's W within-block offsets as a shared
-// read-only slice into the code's flat offset table.
-func (c *BlockedBeepCode) OffsetRow(cw int) []int32 {
-	return c.offsets[cw*c.weight : (cw+1)*c.weight : (cw+1)*c.weight]
-}
-
 // Mask returns codeword cw as a cached bitstring, shared and read-only:
 // callers must not mutate it. Use Codeword for an owned copy.
 func (c *BlockedBeepCode) Mask(cw int) *bitstring.BitString {
@@ -144,47 +130,6 @@ func (c *BlockedBeepCode) Mask(cw int) *bitstring.BitString {
 // Codeword materializes codeword cw as an independent copy.
 func (c *BlockedBeepCode) Codeword(cw int) *bitstring.BitString {
 	return c.masks[cw].Clone()
-}
-
-// Bucket returns the codewords whose 1 in block i sits at offset off, in
-// ascending order — the collision table cell the decoder's solo-mask
-// builder walks. The underlying CSR tables are built once, on first call
-// (construction stays cheap for codes that never decode), and are shared
-// read-only afterwards.
-func (c *BlockedBeepCode) Bucket(i, off int) []int32 {
-	c.collideOnce.Do(c.buildBuckets)
-	cell := i*c.blockSize + off
-	return c.bucketCW[c.bucketStart[cell]:c.bucketStart[cell+1]]
-}
-
-// buildBuckets counting-sorts every codeword into its (block, offset)
-// cell: one pass to size the cells, one to fill them. Codewords land in
-// ascending order within each cell because the fill pass scans them in
-// order.
-func (c *BlockedBeepCode) buildBuckets() {
-	cells := c.weight * c.blockSize
-	start := make([]int32, cells+1)
-	for cw := 0; cw < c.m; cw++ {
-		row := cw * c.weight
-		for i := 0; i < c.weight; i++ {
-			start[i*c.blockSize+int(c.offsets[row+i])+1]++
-		}
-	}
-	for cell := 0; cell < cells; cell++ {
-		start[cell+1] += start[cell]
-	}
-	cws := make([]int32, c.m*c.weight)
-	next := make([]int32, cells)
-	copy(next, start[:cells])
-	for cw := 0; cw < c.m; cw++ {
-		row := cw * c.weight
-		for i := 0; i < c.weight; i++ {
-			cell := i*c.blockSize + int(c.offsets[row+i])
-			cws[next[cell]] = int32(cw)
-			next[cell]++
-		}
-	}
-	c.bucketStart, c.bucketCW = start, cws
 }
 
 var _ BeepCode = (*BlockedBeepCode)(nil)

@@ -244,24 +244,24 @@ func TestPropertyBlockedOffsetsInRange(t *testing.T) {
 	}
 }
 
-// TestBlockedTablesMatchHashDefinition: the precomputed position/offset
-// tables and cached masks must agree with the PRG definition (HashOffset)
-// for every (codeword, block) pair.
+// TestBlockedTablesMatchHashDefinition: the precomputed position table,
+// the offsets derived from it, and the cached masks must agree with the
+// PRG definition (HashOffset) for every (codeword, block) pair.
 func TestBlockedTablesMatchHashDefinition(t *testing.T) {
 	c, err := NewBlockedBeepCode(24, 10, 64, 0xfeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cw := 0; cw < c.NumCodewords(); cw++ {
-		posRow, offRow := c.PositionRow(cw), c.OffsetRow(cw)
+		posRow := c.PositionRow(cw)
 		mask := c.Mask(cw)
 		if mask.Ones() != c.Weight() {
 			t.Fatalf("cw %d: mask weight %d, want %d", cw, mask.Ones(), c.Weight())
 		}
 		for i := 0; i < c.Weight(); i++ {
 			off := c.HashOffset(cw, i)
-			if int(offRow[i]) != off || c.Offset(cw, i) != off {
-				t.Fatalf("cw %d block %d: offset table %d, hash %d", cw, i, offRow[i], off)
+			if got := c.Offset(cw, i); got != off {
+				t.Fatalf("cw %d block %d: offset %d, hash %d", cw, i, got, off)
 			}
 			pos := i*c.BlockSize() + off
 			if int(posRow[i]) != pos || c.Position(cw, i) != pos {
@@ -269,35 +269,6 @@ func TestBlockedTablesMatchHashDefinition(t *testing.T) {
 			}
 			if !mask.Get(pos) {
 				t.Fatalf("cw %d block %d: mask misses position %d", cw, i, pos)
-			}
-		}
-	}
-}
-
-// TestBlockedBucketsMatchOffsets: every (block, offset) collision bucket
-// must contain exactly the codewords whose offset table says so, in
-// ascending order.
-func TestBlockedBucketsMatchOffsets(t *testing.T) {
-	c, err := NewBlockedBeepCode(12, 6, 50, 0xabcd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for block := 0; block < c.Weight(); block++ {
-		for off := 0; off < c.BlockSize(); off++ {
-			var want []int32
-			for cw := 0; cw < c.NumCodewords(); cw++ {
-				if c.Offset(cw, block) == off {
-					want = append(want, int32(cw))
-				}
-			}
-			got := c.Bucket(block, off)
-			if len(got) != len(want) {
-				t.Fatalf("block %d off %d: bucket %v, want %v", block, off, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("block %d off %d: bucket %v, want %v", block, off, got, want)
-				}
 			}
 		}
 	}

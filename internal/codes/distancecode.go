@@ -38,7 +38,9 @@ type RepetitionCode struct {
 	msgBits int
 	reps    int
 	bitFor  []int32 // position -> message bit index
-	byBit   [][]int32
+	// byBit is flat msgBits×reps: bit b's codeword positions, ascending,
+	// are byBit[b*reps : (b+1)*reps].
+	byBit []int32
 	// fallbackNum/fallbackDen: when a bit has no solo positions, declare 1
 	// only if ones > (num/den)·count over all its positions. The threshold
 	// is above 1/2 because non-solo interference is one-sided (a colliding
@@ -58,16 +60,25 @@ func NewRepetitionCode(msgBits, reps int, seed uint64) (*RepetitionCode, error) 
 		msgBits:     msgBits,
 		reps:        reps,
 		bitFor:      make([]int32, length),
-		byBit:       make([][]int32, msgBits),
+		byBit:       make([]int32, length),
 		fallbackNum: 7,
 		fallbackDen: 10,
 	}
+	// Each bit index p % msgBits of the permutation occurs exactly reps
+	// times, so every bit's row fills to exactly reps positions.
+	fill := make([]int32, msgBits)
 	for pos, p := range perm {
 		bit := int32(p % msgBits)
 		c.bitFor[pos] = bit
-		c.byBit[bit] = append(c.byBit[bit], int32(pos))
+		c.byBit[int(bit)*reps+int(fill[bit])] = int32(pos)
+		fill[bit]++
 	}
 	return c, nil
+}
+
+// row returns the codeword positions carrying message bit bit.
+func (c *RepetitionCode) row(bit int) []int32 {
+	return c.byBit[bit*c.reps : (bit+1)*c.reps]
 }
 
 // MessageBits returns the message width.
@@ -111,7 +122,7 @@ func (c *RepetitionCode) DecodeInto(obs, solo *bitstring.BitString, out []byte) 
 	}
 	for bit := 0; bit < c.msgBits; bit++ {
 		ones, zeros := 0, 0
-		for _, pos := range c.byBit[bit] {
+		for _, pos := range c.row(bit) {
 			if !solo.Get(int(pos)) {
 				continue
 			}
@@ -128,7 +139,7 @@ func (c *RepetitionCode) DecodeInto(obs, solo *bitstring.BitString, out []byte) 
 			// No solo position for this bit: use every position with a
 			// threshold biased against collision-induced false 1s.
 			total := 0
-			for _, pos := range c.byBit[bit] {
+			for _, pos := range c.row(bit) {
 				total++
 				if obs.Get(int(pos)) {
 					ones++
@@ -143,41 +154,50 @@ func (c *RepetitionCode) DecodeInto(obs, solo *bitstring.BitString, out []byte) 
 	return out
 }
 
-// DecodeScatteredInto is DecodeInto fused with the ỹ gather: codeword
-// position j is read directly from transcript bit y[positions[j]]
-// instead of from a pre-gathered observation string, so the per-round
-// decode touches the transcript words once with no intermediate buffer.
-// It produces byte-identical output to GatherInto followed by
-// DecodeInto. positions must hold Length() in-range transcript indices;
-// solo must have Length() bits; out must hold ⌈MessageBits/8⌉ bytes.
-func (c *RepetitionCode) DecodeScatteredInto(y *bitstring.BitString, positions []int32, solo *bitstring.BitString, out []byte) []byte {
+// BitMajorInto lays a codeword's transcript positions out in message-bit
+// order: positions[j] is the transcript index of codeword position j,
+// and out[bit*Reps()+r] receives positions[j] for the r-th position j
+// carrying bit. The bit-major row lets DecodeBitMajorInto read each
+// bit's repetitions sequentially. positions and out must hold Length()
+// entries.
+func (c *RepetitionCode) BitMajorInto(positions, out []int32) {
+	for i, j := range c.byBit {
+		out[i] = positions[j]
+	}
+}
+
+// DecodeBitMajorInto is DecodeInto fused with the ỹ gather and the solo
+// test, all in transcript space: bm is a codeword's bit-major transcript
+// positions (BitMajorInto), y the transcript, and dup a collision map
+// over the transcript — position p is solo iff dup bit p is clear. It is
+// byte-identical to gathering obs[j] = y[positions[j]] and running
+// DecodeInto with solo[j] = ¬dup[positions[j]]. y and dup must cover
+// every index in bm; out must hold ⌈MessageBits/8⌉ bytes.
+func (c *RepetitionCode) DecodeBitMajorInto(y, dup *bitstring.BitString, bm []int32, out []byte) []byte {
 	out = out[:(c.msgBits+7)/8]
 	for i := range out {
 		out[i] = 0
 	}
-	yw, sw := y.Words(), solo.Words()
+	yw, dw := y.Words(), dup.Words()
+	yw = yw[:len(dw)]
 	for bit := 0; bit < c.msgBits; bit++ {
-		row := c.byBit[bit]
-		ones, zeros := 0, 0
-		for _, j := range row {
-			if sw[j>>6]&(1<<(uint(j)&63)) == 0 {
-				continue
-			}
-			p := positions[j]
-			if yw[p>>6]&(1<<(uint(p)&63)) != 0 {
-				ones++
-			} else {
-				zeros++
-			}
+		row := bm[bit*c.reps : (bit+1)*c.reps]
+		// Branch-free tally: y's bits are noise-driven coin flips, so
+		// branching on them mispredicts about half the time.
+		ones, solo := 0, 0
+		for _, p := range row {
+			w, sh := p>>6, uint(p)&63
+			trusted := ^dw[w] >> sh & 1
+			ones += int(yw[w] >> sh & trusted)
+			solo += int(trusted)
 		}
 		var value bool
-		if ones+zeros > 0 {
-			value = ones > zeros
+		if solo > 0 {
+			value = 2*ones > solo
 		} else {
 			// No solo position for this bit: use every position with the
 			// one-sided fallback threshold (see DecodeInto).
-			for _, j := range row {
-				p := positions[j]
+			for _, p := range row {
 				if yw[p>>6]&(1<<(uint(p)&63)) != 0 {
 					ones++
 				}
@@ -191,19 +211,18 @@ func (c *RepetitionCode) DecodeScatteredInto(y *bitstring.BitString, positions [
 	return out
 }
 
-// FallbackBits counts the message bits the decoder would resolve via
-// the best-effort fallback threshold for reliability mask solo — bits
-// with zero solo-covered positions. It is a pure function of solo (the
-// fallback branch in DecodeInto/DecodeScatteredInto fires iff a bit's
-// whole row is non-solo), so telemetry can account fallbacks without
-// touching the decode hot path. solo must have Length() bits.
-func (c *RepetitionCode) FallbackBits(solo *bitstring.BitString) int {
-	sw := solo.Words()
+// FallbackBits counts the message bits DecodeBitMajorInto resolves via
+// the best-effort fallback threshold for bit-major row bm and collision
+// map dup — bits whose every position is set in dup. It is a pure
+// function of (bm, dup), so telemetry can account fallbacks without
+// touching the decode hot path.
+func (c *RepetitionCode) FallbackBits(bm []int32, dup *bitstring.BitString) int {
+	dw := dup.Words()
 	fallbacks := 0
 	for bit := 0; bit < c.msgBits; bit++ {
 		covered := false
-		for _, j := range c.byBit[bit] {
-			if sw[j>>6]&(1<<(uint(j)&63)) != 0 {
+		for _, p := range bm[bit*c.reps : (bit+1)*c.reps] {
+			if dw[p>>6]&(1<<(uint(p)&63)) == 0 {
 				covered = true
 				break
 			}

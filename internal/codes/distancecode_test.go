@@ -261,10 +261,67 @@ func BenchmarkRandomDistanceDecode(b *testing.B) {
 	}
 }
 
+// scatterView places a codeword-space observation and solo mask into a
+// transcript of length 3·Length()+2 at positions 3j+1, as a beep code
+// scatters a codeword: y[pos[j]] = obs[j] and dup[pos[j]] = ¬solo[j].
+// Every transcript bit off the codeword's positions is set in both, so a
+// decoder that strays from its row reads garbage.
+func scatterView(c *RepetitionCode, obs, solo *bitstring.BitString) (pos []int32, y, dup *bitstring.BitString) {
+	y = bitstring.New(3*c.Length() + 2).Not()
+	dup = bitstring.New(3*c.Length() + 2).Not()
+	pos = make([]int32, c.Length())
+	for j := range pos {
+		pos[j] = int32(3*j + 1)
+		if !obs.Get(j) {
+			y.ClearBit(int(pos[j]))
+		}
+		if solo.Get(j) {
+			dup.ClearBit(int(pos[j]))
+		}
+	}
+	return pos, y, dup
+}
+
+// TestDecodeBitMajorMatchesDecodeInto: the transcript-space decoder must
+// agree with DecodeInto on the gathered observation and the solo mask
+// pulled back from the collision map, and fully overwrite its buffer.
+func TestDecodeBitMajorMatchesDecodeInto(t *testing.T) {
+	c, err := NewRepetitionCode(12, 9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(37)
+	buf := make([]byte, (c.MessageBits()+7)/8)
+	bm := make([]int32, c.Length())
+	for trial := 0; trial < 200; trial++ {
+		obs := bitstring.New(c.Length())
+		solo := bitstring.New(c.Length())
+		soloRate := []float64{0, 0.1, 0.6, 1}[trial%4]
+		for j := 0; j < c.Length(); j++ {
+			if r.Bool(0.4) {
+				obs.Set(j)
+			}
+			if r.Bool(soloRate) {
+				solo.Set(j)
+			}
+		}
+		pos, y, dup := scatterView(c, obs, solo)
+		c.BitMajorInto(pos, bm)
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		want := c.Decode(obs, solo)
+		if got := c.DecodeBitMajorInto(y, dup, bm, buf); !wire.Equal(got, want, c.MessageBits()) {
+			t.Fatalf("trial %d: DecodeBitMajorInto %x, DecodeInto %x", trial, got, want)
+		}
+	}
+}
+
 // TestFallbackBitsMatchesDecodeBranch pins FallbackBits to the decoder:
-// a bit counts as fallback iff DecodeInto's solo-majority loop sees
-// zero covered positions for it. Cross-checked by re-deriving coverage
-// from the public BitFor table under assorted solo masks.
+// a bit counts as fallback iff DecodeBitMajorInto's solo-majority loop
+// sees zero solo positions for it. Cross-checked by re-deriving coverage
+// from the public BitFor table under assorted solo masks, scattered into
+// a transcript as the runner's collision map would hold them.
 func TestFallbackBitsMatchesDecodeBranch(t *testing.T) {
 	c, err := NewRepetitionCode(16, 5, 3)
 	if err != nil {
@@ -279,6 +336,7 @@ func TestFallbackBitsMatchesDecodeBranch(t *testing.T) {
 		sparse.Set(j)
 	}
 	masks["sparse"] = sparse
+	bm := make([]int32, c.Length())
 	for label, solo := range masks {
 		covered := make([]bool, c.MessageBits())
 		for j := 0; j < c.Length(); j++ {
@@ -292,14 +350,16 @@ func TestFallbackBitsMatchesDecodeBranch(t *testing.T) {
 				want++
 			}
 		}
-		if got := c.FallbackBits(solo); got != want {
+		switch label {
+		case "none":
+			want = c.MessageBits() // every bit falls back
+		case "all":
+			want = 0
+		}
+		pos, _, dup := scatterView(c, bitstring.New(c.Length()), solo)
+		c.BitMajorInto(pos, bm)
+		if got := c.FallbackBits(bm, dup); got != want {
 			t.Errorf("%s: FallbackBits = %d, want %d", label, got, want)
 		}
-	}
-	if got := c.FallbackBits(bitstring.New(c.Length())); got != c.MessageBits() {
-		t.Errorf("empty solo: FallbackBits = %d, want every bit (%d)", got, c.MessageBits())
-	}
-	if got := c.FallbackBits(bitstring.New(c.Length()).Not()); got != 0 {
-		t.Errorf("full solo: FallbackBits = %d, want 0", got)
 	}
 }

@@ -15,12 +15,12 @@ import (
 // and the bits the node itself heard.
 //
 // The hot path is table-driven and word-parallel: the beep code's PRG
-// hashing is paid once at construction (cached position/offset tables and
-// codeword masks), the Lemma 9 membership test is a popcount sweep
-// (mask ∧ ¬x̃), and the solo masks for a whole decoded member set are
-// built in one pass over blocks. None of this changes any decoded bit —
-// TestPropertyOptimizedMatchesNaive pins the output to a retained naive
-// reference implementation.
+// hashing is paid once at construction (cached position table, bit-major
+// position table and codeword masks), the Lemma 9 membership test is a
+// popcount sweep (mask ∧ ¬x̃), and the solo positions of a whole decoded
+// member set come from one transcript-space collision map. None of this
+// changes any decoded bit — TestPropertyOptimizedMatchesNaive pins the
+// output to a retained naive reference implementation.
 type decoder struct {
 	p    Params
 	code *codes.BlockedBeepCode
@@ -43,16 +43,10 @@ type decoder struct {
 	theta    int // MembershipThreshold, cached
 	msgBytes int // ⌈MsgBits/8⌉
 
-	// useBuckets selects how solo masks find offset collisions among the
-	// decoded members: walking the code's (block, offset) collision
-	// buckets, or a counting pass over the members' offset rows
-	// (O(members·W) total for every mask at once). Both produce identical
-	// masks (the property tests cover each); benchmarks favor the
-	// counting pass even where buckets average under two entries — the
-	// CSR double-indexing costs more than the three sequential row
-	// passes — so production decoding keeps useBuckets off and the bucket
-	// walk remains as the collision-table reference path.
-	useBuckets bool
+	// bitMajor is flat M×W: codeword t's transcript positions in
+	// message-bit order (RepetitionCode.BitMajorInto), so the phase-2
+	// gather and encode read each bit's R repetitions sequentially.
+	bitMajor []int32
 }
 
 func newDecoder(p Params) (*decoder, error) {
@@ -78,6 +72,11 @@ func newDecoder(p Params) (*decoder, error) {
 		frac = 0.95
 	}
 	stageABits := probes * p.BlockSize()
+	w := p.W()
+	bitMajor := make([]int32, p.M*w)
+	for cw := 0; cw < p.M; cw++ {
+		dist.BitMajorInto(code.PositionRow(cw), bitMajor[cw*w:(cw+1)*w])
+	}
 	return &decoder{
 		p:            p,
 		code:         code,
@@ -91,18 +90,18 @@ func newDecoder(p Params) (*decoder, error) {
 		stageAWordSweep: stageABits/64 <= 4*probes,
 		theta:           p.MembershipThreshold(),
 		msgBytes:        (p.MsgBits + 7) / 8,
-		useBuckets:      false, // counting pass wins in benchmarks; see field doc
+		bitMajor:        bitMajor,
 	}, nil
 }
 
 // Codes bundles the prebuilt, read-only decode tables of a
-// parameterization — the beep-code position/offset/mask tables and the
-// distance-code permutation, i.e. everything newDecoder hashes out of
-// the PRG. A Codes value is a pure function of its Params (public
-// shared knowledge in the paper's model), safe to share across any
-// number of concurrent runners, and is the unit the sweep layer's
-// artifact cache stores so a batch builds each parameterization's
-// tables once.
+// parameterization — the beep-code position and mask tables, the
+// distance-code permutation and the bit-major position table built from
+// both, i.e. everything newDecoder hashes out of the PRG. A Codes value
+// is a pure function of its Params (public shared knowledge in the
+// paper's model), safe to share across any number of concurrent
+// runners, and is the unit the sweep layer's artifact cache stores so a
+// batch builds each parameterization's tables once.
 type Codes struct {
 	p   Params
 	dec *decoder
@@ -128,43 +127,15 @@ func (c *Codes) Params() Params { return c.p }
 // decoder itself stays read-only and shareable.
 type decodeScratch struct {
 	members []int
-	rows    [][]int32              // offset row per member
-	solos   []*bitstring.BitString // W-bit solo mask per member
-	soloW   [][]uint64             // solos[i].Words(), cached per soloMasks call
-	// tags/counts are the counting path's per-offset occupancy: an
-	// entry is current only when its tag matches the position's tag for
-	// the present soloMasks call (tick advances by W per call, so tags
-	// are unique across calls and positions and stale entries read as
-	// zero without any per-call zeroing pass).
-	tags   []uint64 // len BlockSize
-	counts []int32  // len BlockSize
-	tick   uint64
-	stamp  []int32 // member stamps indexed by codeword (bucket path), len M
-	gen    int32
+	// seen and dup are transcript-space maps over the decoded members'
+	// codewords: seen is their superimposition, dup the positions two or
+	// more of them occupy (collisions).
+	seen, dup *bitstring.BitString
 }
 
 func (d *decoder) newScratch() *decodeScratch {
-	sc := &decodeScratch{}
-	if d.useBuckets {
-		sc.stamp = make([]int32, d.p.M)
-	} else {
-		sc.tags = make([]uint64, d.p.BlockSize())
-		sc.counts = make([]int32, d.p.BlockSize())
-	}
-	return sc
-}
-
-// ensureMembers sizes the per-member scratch rows for k members.
-func (sc *decodeScratch) ensureMembers(k, w int) {
-	for len(sc.solos) < k {
-		sc.solos = append(sc.solos, bitstring.New(w))
-	}
-	if cap(sc.rows) < k {
-		sc.rows = make([][]int32, k)
-		sc.soloW = make([][]uint64, k)
-	}
-	sc.rows = sc.rows[:k]
-	sc.soloW = sc.soloW[:k]
+	b := d.p.PhaseLength()
+	return &decodeScratch{seen: bitstring.New(b), dup: bitstring.New(b)}
 }
 
 // members returns R̃: every codeword cw whose positions are consistent
@@ -192,90 +163,42 @@ func (d *decoder) members(x *bitstring.BitString, out []int) []int {
 	return out
 }
 
-// soloMasks fills sc.solos[i], for each decoded member i, with the blocks
-// in which no other member codeword (the listener's own included) shares
-// member i's offset — the positions where the §4 analysis guarantees the
-// listener hears only that member's transmission plus channel noise.
-// All masks are built in one pass; sc.solos[i] is valid until the next
-// soloMasks call on the same scratch.
-func (d *decoder) soloMasks(members []int, sc *decodeScratch) {
-	w := d.p.W()
-	sc.ensureMembers(len(members), w)
-	for i := range members {
-		sc.solos[i].SetAll()
-	}
-	if len(members) < 2 {
-		return
-	}
-	if d.useBuckets {
-		d.soloMasksBuckets(members, sc)
-		return
-	}
-	for i, cw := range members {
-		sc.rows[i] = d.code.OffsetRow(cw)
-		sc.soloW[i] = sc.solos[i].Words()
-	}
-	rows, tags, counts := sc.rows, sc.tags, sc.counts
-	// One globally-unique tag per (call, position): base advances by W
-	// per call, so an entry last touched by any earlier call — or an
-	// earlier position of this call — can never alias the current one.
-	base := sc.tick + 1
-	sc.tick += uint64(w)
-	for j := 0; j < w; j++ {
-		tag := base + uint64(j)
-		for i := range members {
-			off := rows[i][j]
-			if tags[off] != tag {
-				tags[off] = tag
-				counts[off] = 0
-			}
-			counts[off]++
-		}
-		wi, mask := j>>6, ^(uint64(1) << (uint(j) & 63))
-		for i := range members {
-			if counts[rows[i][j]] > 1 {
-				sc.soloW[i][wi] &= mask
-			}
+// collisions fills sc.dup with the transcript positions that two or
+// more decoded members' codewords occupy (the listener's own included).
+// Position j of member t is solo — the §4 analysis guarantees the
+// listener hears only t's transmission there plus channel noise —
+// exactly when dup bit PositionRow(t)[j] is clear. One word-parallel
+// pass over the members' cached masks builds the map for the whole set;
+// it is valid until the next collisions call on the same scratch.
+func (d *decoder) collisions(members []int, sc *decodeScratch) {
+	seen, dup := sc.seen.Words(), sc.dup.Words()
+	clear(seen)
+	clear(dup)
+	for _, cw := range members {
+		m := d.code.Mask(cw).Words()[:len(seen)]
+		for k, w := range m {
+			dup[k] |= seen[k] & w
+			seen[k] |= w
 		}
 	}
 }
 
-// soloMasksBuckets is the collision-table variant of soloMasks: member i
-// loses block j iff the (j, offset) bucket holds another stamped member.
-func (d *decoder) soloMasksBuckets(members []int, sc *decodeScratch) {
-	sc.gen++
-	if sc.gen <= 0 { // overflow: invalidate every stamp and restart
-		for i := range sc.stamp {
-			sc.stamp[i] = 0 // 0 is never a generation (gen starts at 1)
-		}
-		sc.gen = 1
-	}
-	for _, cw := range members {
-		sc.stamp[cw] = sc.gen
-	}
+// bitMajorRow returns codeword t's transcript positions in message-bit
+// order: bit b's repetitions are row[b*R : (b+1)*R].
+func (d *decoder) bitMajorRow(t int) []int32 {
 	w := d.p.W()
-	for i, cw := range members {
-		row := d.code.OffsetRow(cw)
-		solo := sc.solos[i]
-		for j := 0; j < w; j++ {
-			for _, other := range d.code.Bucket(j, int(row[j])) {
-				if int(other) != cw && sc.stamp[other] == sc.gen {
-					solo.ClearBit(j)
-					break
-				}
-			}
-		}
-	}
+	return d.bitMajor[t*w : (t+1)*w : (t+1)*w]
 }
 
 // decodeMessage recovers the message carried by codeword t from the
 // phase-2 observation y: it reads the paper's ỹ_{v,w} (the bits of y at
-// t's positions) and runs the distance-code decoder with the solo mask,
-// writing into out (which must hold ⌈MsgBits/8⌉ bytes). The gather and
-// the per-bit majorities are fused (DecodeScatteredInto), so no
-// intermediate observation string is materialized.
-func (d *decoder) decodeMessage(t int, y, solo *bitstring.BitString, out []byte) []byte {
-	return d.dist.DecodeScatteredInto(y, d.code.PositionRow(t), solo, out)
+// t's positions) and takes per-bit majorities over the solo ones — those
+// clear in the collision map dup — writing into out (which must hold
+// ⌈MsgBits/8⌉ bytes). The gather, the solo test and the majorities are
+// fused (DecodeBitMajorInto), so no intermediate observation string or
+// solo mask is materialized.
+func (d *decoder) decodeMessage(t int, y, dup *bitstring.BitString, out []byte) []byte {
+	return d.dist.DecodeBitMajorInto(y, dup, d.bitMajorRow(t), out)
 }
 
 // encodePhase1 returns C(cw) as a beep pattern — the cached codeword
@@ -285,15 +208,17 @@ func (d *decoder) encodePhase1(cw int) *bitstring.BitString {
 }
 
 // encodePhase2Into writes CD(cw, msg) (Notation 7) into out: D(msg)
-// scattered into C(cw)'s one-positions, fused through the distance code's
-// permutation table so no intermediate codeword is materialized. out must
-// have the code's full length.
+// scattered into C(cw)'s one-positions, read through the bit-major table
+// so no intermediate codeword is materialized. out must have the code's
+// full length.
 func (d *decoder) encodePhase2Into(cw int, msg []byte, out *bitstring.BitString) {
 	out.Reset()
-	positions := d.code.PositionRow(cw)
-	for j, pos := range positions {
-		if wire.Bit(msg, d.dist.BitFor(j)) {
-			out.Set(int(pos))
+	row, reps := d.bitMajorRow(cw), d.p.R
+	for bit := 0; bit < d.p.MsgBits; bit++ {
+		if wire.Bit(msg, bit) {
+			for _, pos := range row[bit*reps : (bit+1)*reps] {
+				out.Set(int(pos))
+			}
 		}
 	}
 }

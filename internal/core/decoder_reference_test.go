@@ -102,98 +102,127 @@ func randomDecoderParams(r *rng.Stream) Params {
 	return p
 }
 
-// TestPropertyOptimizedMatchesNaive: on arbitrary (not even codeword-
-// shaped) noisy observations, the optimized decoder must reproduce the
-// naive reference bit for bit: same member set, same solo masks (by both
-// the counting pass and the collision-bucket walk), same decoded
-// messages.
-func TestPropertyOptimizedMatchesNaive(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		p := randomDecoderParams(r)
-		d, err := newDecoder(p)
-		if err != nil {
-			return true // invalid draw; skip
-		}
+// matchesNaive draws a parameterization and an observation from seed and
+// checks the optimized decoder against the naive reference on them: same
+// member set, same solo view of every member (pulled back from the
+// collision map), same solo-filter and fallback telemetry, same decoded
+// messages. It logs the first mismatch and reports whether all agree.
+func matchesNaive(t testing.TB, seed uint64) bool {
+	r := rng.New(seed)
+	p := randomDecoderParams(r)
+	d, err := newDecoder(p)
+	if err != nil {
+		return true // invalid draw; skip
+	}
 
-		// Observations: superimpose a random member set, then corrupt at ε
-		// (plus occasional pure-garbage x to stress the filters).
-		count := 1 + r.Intn(p.K)
-		if count > p.M {
-			count = p.M
+	// Observations: superimpose a random member set, then corrupt at ε
+	// (plus occasional pure-garbage x to stress the filters).
+	count := 1 + r.Intn(p.K)
+	if count > p.M {
+		count = p.M
+	}
+	trueMembers := r.SampleDistinct(p.M, count)
+	x := bitstring.New(p.PhaseLength())
+	y := bitstring.New(p.PhaseLength())
+	for _, cw := range trueMembers {
+		x.OrInPlace(d.code.Mask(cw))
+		msg := make([]byte, d.msgBytes)
+		for b := range msg {
+			msg[b] = byte(r.Intn(256))
 		}
-		trueMembers := r.SampleDistinct(p.M, count)
-		x := bitstring.New(p.PhaseLength())
-		y := bitstring.New(p.PhaseLength())
-		for _, cw := range trueMembers {
-			x.OrInPlace(d.code.Mask(cw))
-			msg := make([]byte, d.msgBytes)
-			for b := range msg {
-				msg[b] = byte(r.Intn(256))
+		y.OrInPlace(d.encodePhase2(cw, msg))
+	}
+	for _, s := range []*bitstring.BitString{x, y} {
+		fs := rng.NewFlipSampler(r, 0.02+p.Epsilon)
+		for {
+			pos, ok := fs.Next(s.Len())
+			if !ok {
+				break
 			}
-			y.OrInPlace(d.encodePhase2(cw, msg))
+			s.Flip(pos)
 		}
-		for _, s := range []*bitstring.BitString{x, y} {
-			fs := rng.NewFlipSampler(r, 0.02+p.Epsilon)
-			for {
-				pos, ok := fs.Next(s.Len())
-				if !ok {
-					break
-				}
-				s.Flip(pos)
-			}
-		}
+	}
 
-		members := d.members(x, nil)
-		wantMembers := refMembers(d, x)
-		if !equalInts(members, wantMembers) {
-			t.Logf("seed %d: members %v, want %v", seed, members, wantMembers)
-			return false
-		}
-		if len(members) == 0 {
-			return true
-		}
-		sc := d.newScratch()
-		// Dirty the scratch with an unrelated member set first: production
-		// reuses one scratch per shard across all nodes and rounds, so the
-		// counting pass must be immune to any prior call's residue (the
-		// per-call tag discipline; a position-only tag aliases here).
-		prior := r.SampleDistinct(p.M, 1+r.Intn(min(p.K, p.M)))
-		d.soloMasks(prior, sc)
-		d.soloMasks(members, sc)
-		db := *d
-		db.useBuckets = true
-		scb := db.newScratch()
-		db.soloMasks(prior, scb)
-		db.soloMasks(members, scb)
-		out := make([]byte, d.msgBytes)
-		for i, cw := range members {
-			wantSolo := refSoloMask(d, cw, members)
-			if !sc.solos[i].Equal(wantSolo) {
-				t.Logf("seed %d: counting solo mask of %d differs", seed, cw)
-				return false
-			}
-			if !scb.solos[i].Equal(wantSolo) {
-				t.Logf("seed %d: bucket solo mask of %d differs", seed, cw)
-				return false
-			}
-			got := d.decodeMessage(cw, y, sc.solos[i], out)
-			want := refDecodeMessage(d, cw, y, wantSolo)
-			if len(got) != len(want) {
-				return false
-			}
-			for b := range got {
-				if got[b] != want[b] {
-					t.Logf("seed %d: message of %d decodes %x, want %x", seed, cw, got, want)
-					return false
-				}
-			}
-		}
+	members := d.members(x, nil)
+	wantMembers := refMembers(d, x)
+	if !equalInts(members, wantMembers) {
+		t.Logf("seed %d: members %v, want %v", seed, members, wantMembers)
+		return false
+	}
+	if len(members) == 0 {
 		return true
 	}
+	sc := d.newScratch()
+	// Dirty the scratch with an unrelated member set first: production
+	// reuses one scratch per shard across all nodes and rounds, so the
+	// collision pass must be immune to any prior call's residue.
+	prior := r.SampleDistinct(p.M, 1+r.Intn(min(p.K, p.M)))
+	d.collisions(prior, sc)
+	d.collisions(members, sc)
+	out := make([]byte, d.msgBytes)
+	for _, cw := range members {
+		wantSolo := refSoloMask(d, cw, members)
+		if !d.soloView(cw, sc.dup).Equal(wantSolo) {
+			t.Logf("seed %d: solo view of %d differs", seed, cw)
+			return false
+		}
+		filtered := d.code.Mask(cw).AndCountLimit(sc.dup, 1) != 0
+		if filtered != (wantSolo.Ones() != p.W()) {
+			t.Logf("seed %d: solo-filter verdict of %d is %v", seed, cw, filtered)
+			return false
+		}
+		covered := make([]bool, p.MsgBits)
+		for j := 0; j < p.W(); j++ {
+			if wantSolo.Get(j) {
+				covered[d.dist.BitFor(j)] = true
+			}
+		}
+		wantFallback := 0
+		for _, c := range covered {
+			if !c {
+				wantFallback++
+			}
+		}
+		if got := d.dist.FallbackBits(d.bitMajorRow(cw), sc.dup); got != wantFallback {
+			t.Logf("seed %d: %d fallback bits for %d, want %d", seed, got, cw, wantFallback)
+			return false
+		}
+		got := d.decodeMessage(cw, y, sc.dup, out)
+		want := refDecodeMessage(d, cw, y, wantSolo)
+		if len(got) != len(want) {
+			return false
+		}
+		for b := range got {
+			if got[b] != want[b] {
+				t.Logf("seed %d: message of %d decodes %x, want %x", seed, cw, got, want)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPropertyOptimizedMatchesNaive: on arbitrary (not even codeword-
+// shaped) noisy observations, the optimized decoder must reproduce the
+// naive reference bit for bit (matchesNaive).
+func TestPropertyOptimizedMatchesNaive(t *testing.T) {
+	f := func(seed uint64) bool { return matchesNaive(t, seed) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzDecodeMatchesReference runs the property check on fuzzer-chosen
+// seeds.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	for _, seed := range []uint64{0, 1, 0x5eed, 0xdecade} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		if !matchesNaive(t, seed) {
+			t.Fatalf("seed %d: optimized decoder diverges from the reference", seed)
+		}
+	})
 }
 
 // TestScratchReuseIsStateless: decoding a saturated observation and then
@@ -217,16 +246,16 @@ func TestScratchReuseIsStateless(t *testing.T) {
 		if len(all) != p.M {
 			t.Fatalf("trial %d: saturated decode found %d members", trial, len(all))
 		}
-		d.soloMasks(all, sc)
+		d.collisions(all, sc)
 		few := d.members(small, sc.members)
 		sc.members = few
 		if len(few) != 2 || few[0] != 5 || few[1] != 12 {
 			t.Fatalf("trial %d: small decode %v", trial, few)
 		}
-		d.soloMasks(few, sc)
-		for i, cw := range few {
-			if want := refSoloMask(d, cw, few); !sc.solos[i].Equal(want) {
-				t.Fatalf("trial %d: reused scratch solo mask of %d differs", trial, cw)
+		d.collisions(few, sc)
+		for _, cw := range few {
+			if want := refSoloMask(d, cw, few); !d.soloView(cw, sc.dup).Equal(want) {
+				t.Fatalf("trial %d: reused scratch solo view of %d differs", trial, cw)
 			}
 		}
 	}

@@ -16,21 +16,33 @@ func (d *decoder) membersAlloc(x *bitstring.BitString) []int {
 	return d.members(x, nil)
 }
 
-// soloMaskFor returns target t's solo mask within members (t must be a
-// member, as in the runner's decode loop).
-func (d *decoder) soloMaskFor(t int, members []int) *bitstring.BitString {
+// collisionMap returns the transcript-space collision map of members.
+func (d *decoder) collisionMap(members []int) *bitstring.BitString {
 	sc := d.newScratch()
-	d.soloMasks(members, sc)
-	for i, cw := range members {
-		if cw == t {
-			return sc.solos[i].Clone()
-		}
-	}
-	panic("soloMaskFor: target not a member")
+	d.collisions(members, sc)
+	return sc.dup
 }
 
-func (d *decoder) decodeMessageAlloc(t int, y, solo *bitstring.BitString) []byte {
-	return d.decodeMessage(t, y, solo, make([]byte, d.msgBytes))
+// soloView pulls collision map dup back to codeword t's W positions: bit
+// j is set iff t's position j is solo.
+func (d *decoder) soloView(t int, dup *bitstring.BitString) *bitstring.BitString {
+	solo := bitstring.New(d.p.W())
+	for j, pos := range d.code.PositionRow(t) {
+		if !dup.Get(int(pos)) {
+			solo.Set(j)
+		}
+	}
+	return solo
+}
+
+// soloMaskFor returns target t's solo view within members (t must be a
+// member, as in the runner's decode loop).
+func (d *decoder) soloMaskFor(t int, members []int) *bitstring.BitString {
+	return d.soloView(t, d.collisionMap(members))
+}
+
+func (d *decoder) decodeMessageAlloc(t int, y, dup *bitstring.BitString) []byte {
+	return d.decodeMessage(t, y, dup, make([]byte, d.msgBytes))
 }
 
 func testParams() Params {
@@ -153,8 +165,8 @@ func TestMembersAdversarialSaturation(t *testing.T) {
 	}
 }
 
-// TestSoloMaskMatchesBruteForce: the solo mask must equal a direct
-// position-collision computation on materialized codewords.
+// TestSoloMaskMatchesBruteForce: the solo view of the collision map must
+// equal a direct position-collision computation on the codewords.
 func TestSoloMaskMatchesBruteForce(t *testing.T) {
 	p := testParams()
 	d, err := newDecoder(p)
@@ -180,7 +192,7 @@ func TestSoloMaskMatchesBruteForce(t *testing.T) {
 }
 
 // TestPhase2RoundTrip: encode CD(cw, msg), superimpose interferers, decode
-// with the correct solo mask — the message must survive.
+// with the members' collision map — the message must survive.
 func TestPhase2RoundTrip(t *testing.T) {
 	p := testParams()
 	d, err := newDecoder(p)
@@ -195,9 +207,9 @@ func TestPhase2RoundTrip(t *testing.T) {
 		w.WriteUint(msgs[cw], 8)
 		y.OrInPlace(d.encodePhase2(cw, w.PaddedBytes(p.MsgBits)))
 	}
+	dup := d.collisionMap(members)
 	for _, cw := range members {
-		solo := d.soloMaskFor(cw, members)
-		got := d.decodeMessageAlloc(cw, y, solo)
+		got := d.decodeMessageAlloc(cw, y, dup)
 		want := encodeMsg8(msgs[cw])
 		if !wire.Equal(got, want, 8) {
 			t.Errorf("codeword %d: decoded %x, want %x", cw, got, want)
@@ -232,9 +244,9 @@ func TestPhase2RoundTripUnderNoise(t *testing.T) {
 			}
 			y.Flip(pos)
 		}
+		dup := d.collisionMap(members)
 		for _, cw := range members {
-			solo := d.soloMaskFor(cw, members)
-			got := d.decodeMessageAlloc(cw, y, solo)
+			got := d.decodeMessageAlloc(cw, y, dup)
 			if !wire.Equal(got, encodeMsg8(msgs[cw]), 8) {
 				t.Fatalf("trial %d codeword %d: decoded %x, want %x", trial, cw, got, msgs[cw])
 			}
@@ -297,8 +309,9 @@ func TestPropertyDecoderPipelineFuzz(t *testing.T) {
 				return false
 			}
 		}
+		dup := d.collisionMap(got)
 		for _, cw := range members {
-			solo := d.soloMaskFor(cw, got)
+			solo := d.soloView(cw, dup)
 			covered := make([]bool, p.MsgBits)
 			for j := 0; j < d.dist.Length(); j++ {
 				if solo.Get(j) {
@@ -312,7 +325,7 @@ func TestPropertyDecoderPipelineFuzz(t *testing.T) {
 			if !full {
 				continue // no exactness guarantee for this member
 			}
-			if !wire.Equal(d.decodeMessageAlloc(cw, y, solo), msgs[cw], p.MsgBits) {
+			if !wire.Equal(d.decodeMessageAlloc(cw, y, dup), msgs[cw], p.MsgBits) {
 				return false
 			}
 		}

@@ -65,7 +65,7 @@ type runnerMetrics struct {
 	simRounds    *obs.Counter // simulated Broadcast CONGEST rounds
 	emptyRounds  *obs.Counter // zero-sender rounds (radio phases skipped)
 	members      *obs.Counter // decoded neighborhood members delivered
-	soloFiltered *obs.Counter // decodes whose solo mask filtered >= 1 position
+	soloFiltered *obs.Counter // decodes whose codeword hits >= 1 collision
 	fallbackBits *obs.Counter // message bits resolved via best-effort fallback
 	collectT     *obs.Timer   // phase: broadcast collection
 	radio1T      *obs.Timer   // phase: phase-1 propagation window
@@ -120,7 +120,6 @@ type BroadcastRunner struct {
 	// Reused per-round buffers. patterns/xs/ys are sized at construction;
 	// phase2Buf entries are created lazily (first round a node transmits);
 	// scratch is per execution-pool shard.
-	soloAll   *bitstring.BitString // all-ones W mask (DisableSoloFilter)
 	patterns  []*bitstring.BitString
 	xs, ys    []*bitstring.BitString
 	phase2Buf []*bitstring.BitString
@@ -197,7 +196,6 @@ func NewBroadcastRunner(g *graph.Graph, cfg RunnerConfig) (*BroadcastRunner, err
 		cfg:       cfg,
 		dec:       dec,
 		nw:        nw,
-		soloAll:   bitstring.New(cfg.Params.W()).Not(),
 		patterns:  make([]*bitstring.BitString, n),
 		xs:        make([]*bitstring.BitString, n),
 		ys:        make([]*bitstring.BitString, n),
@@ -336,7 +334,6 @@ func (r *BroadcastRunner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds in
 	// and folded with one atomic add each, so the disabled path pays a
 	// single bool test per span.
 	instrumented := r.m.members != nil
-	soloOnes := p.W()
 	decodePhase := func(s engine.Span) {
 		sc := r.scratch[s.Index]
 		scores[s.Index] = ScoreDelta{}
@@ -348,27 +345,26 @@ func (r *BroadcastRunner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds in
 			}
 			decoded := r.dec.members(r.xs[v], sc.dec.members)
 			sc.dec.members = decoded
+			// With the solo filter off the collision map is never
+			// written, so it stays empty and every position is trusted.
 			if !p.DisableSoloFilter {
-				r.dec.soloMasks(decoded, sc.dec)
+				r.dec.collisions(decoded, sc.dec)
 			}
+			dup := sc.dec.dup
 			inbox := sc.inbox[:0]
-			for i, t := range decoded {
+			for _, t := range decoded {
 				if cw[v] >= 0 && t == cw[v] {
 					continue // own transmission
 				}
-				solo := r.soloAll
-				if !p.DisableSoloFilter {
-					solo = sc.dec.solos[i]
-				}
 				if instrumented {
 					members++
-					if solo.Ones() != soloOnes {
+					if r.dec.code.Mask(t).AndCountLimit(dup, 1) != 0 {
 						soloFiltered++
 					}
-					fallbackBits += int64(r.dec.dist.FallbackBits(solo))
+					fallbackBits += int64(r.dec.dist.FallbackBits(r.dec.bitMajorRow(t), dup))
 				}
 				buf := sc.msgPool.Buf(len(inbox), r.dec.msgBytes)
-				inbox = append(inbox, r.dec.decodeMessage(t, r.ys[v], solo, buf))
+				inbox = append(inbox, r.dec.decodeMessage(t, r.ys[v], dup, buf))
 			}
 			congest.SortMessages(inbox)
 
