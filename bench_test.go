@@ -617,7 +617,7 @@ func BenchmarkRunPhase10k(b *testing.B) {
 // the batch scheduler against a fresh in-memory store, with the
 // per-batch artifact cache sharing graphs and code tables across
 // scenarios. This is the batch wall-time figure the PR 4 cache and
-// hot-path work target (BENCH_PR4.json).
+// hot-path work target (git show 9781731:BENCH_PR4.json).
 func BenchmarkSweepGrid64(b *testing.B) {
 	scs, err := sweep.Grid{
 		Families:   []string{sweep.FamilyRegular},
@@ -649,7 +649,7 @@ func BenchmarkSweepGrid64(b *testing.B) {
 // are pinned bit-identical (see internal/beep/sparse_test.go); the
 // benchmark delta is pure executor cost. The ≥10× sparse-vs-dense
 // acceptance target for the million-node PR reads off this pair
-// (BENCH_PR9.json).
+// (git show 9781731:BENCH_PR9.json).
 
 const largeSide = 1000 // n = largeSide² = 10⁶
 
@@ -729,7 +729,8 @@ func BenchmarkLargeSparseGen(b *testing.B) {
 }
 
 // BenchmarkSweepReplicateHeavy measures the replicate-heavy grid the
-// replicate-sliced execution path targets (BENCH_PR6.json): 4
+// replicate-sliced execution path targets (git show
+// 9781731:BENCH_PR6.json): 4
 // hard-family axis points × 64 replicates = 256 TDMA scenarios through
 // the batch scheduler. The hard family derives its topology without
 // GraphSeed, so each axis point's replicates share one sliceKey and run

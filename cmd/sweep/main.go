@@ -12,6 +12,17 @@
 // — skips every scenario already in the store; within one batch, graphs
 // and code tables are built once and shared across scenarios.
 //
+// It is also the single-scenario CLI: a one-point grid runs one
+// scenario, e.g.
+//
+//	sweep -family regular -n 64 -delta 8 -workload matching -eps 0.1 -strict
+//	sweep -family grid -delta 6 -engine congest -workload bfstree -strict
+//
+// The aggregate table reports, per grid cell, the beeping axes, the
+// mean simulated rounds and native messages, and a verified column
+// (records whose output verified over replicates, or n/a for workloads
+// without a validity notion), then the wall and build times.
+//
 // Usage:
 //
 //	sweep -family regular,pg -n 32,64 -delta 4,8 -eps 0,0.1 \
@@ -85,7 +96,7 @@ import (
 
 func main() {
 	var (
-		families   = flag.String("family", "regular", "comma-separated graph families (regular, bounded, pg, grid, hypercube, hard, complete, geo)")
+		families   = flag.String("family", "regular", "comma-separated graph families ("+strings.Join(sweep.FamilyNames(), ", ")+")")
 		ns         = flag.String("n", "64", "comma-separated node counts (ignored by families that derive n)")
 		deltas     = flag.String("delta", "4", "comma-separated family parameters (Δ; q for pg, side for grid, dim for hypercube)")
 		epss       = flag.String("eps", "0.05", "comma-separated channel noise rates (symmetric channel)")
@@ -361,7 +372,7 @@ func printFrontier(w *os.File, results []sweep.FrontierResult) {
 
 func printAggregate(w *os.File, groups []sweep.Group) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tengine\tfamily\tn\tparam\teps\tnoise\treps\tbeep rounds (mean)\tbeeps/sim round (mean)\tmsg err (mean)\tmem err (mean)\tenergy (mean)\twall ms (p50/p90)\tbuild ms (mean)")
+	fmt.Fprintln(tw, "workload\tengine\tfamily\tn\tparam\teps\tnoise\treps\tbeep rounds (mean)\tbeeps/sim round (mean)\tmsg err (mean)\tmem err (mean)\tenergy (mean)\tsim rounds (mean)\tmessages (mean)\tverified\twall ms (p50/p90)\tbuild ms (mean)")
 	for _, g := range groups {
 		k := g.Key
 		n := k.N
@@ -372,11 +383,32 @@ func printAggregate(w *os.File, groups []sweep.Group) {
 		if noiseCol == "" {
 			noiseCol = "symmetric"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%.2f\t%s\t%d\t%.0f\t%.0f\t%.4f\t%.4f\t%.0f\t%.0f/%.0f\t%.2f\n",
+		// The three columns below read the records directly: sweep.Group
+		// summarizes the beeping axes only.
+		var simRounds, messages float64
+		checked, verified := 0, 0
+		for _, r := range g.Records {
+			simRounds += float64(r.Counters.SimRounds)
+			messages += float64(r.Counters.Messages)
+			if ok := r.Counters.OutputOK; ok != nil {
+				checked++
+				if *ok {
+					verified++
+				}
+			}
+		}
+		if reps := float64(len(g.Records)); reps > 0 {
+			simRounds, messages = simRounds/reps, messages/reps
+		}
+		verifiedCol := "n/a" // the workload defines no output-validity notion
+		if checked > 0 {
+			verifiedCol = fmt.Sprintf("%d/%d", verified, len(g.Records))
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%.2f\t%s\t%d\t%.0f\t%.0f\t%.4f\t%.4f\t%.0f\t%.1f\t%.0f\t%s\t%.0f/%.0f\t%.2f\n",
 			k.Workload, k.Engine, k.Family, n, k.Param, k.Epsilon, noiseCol,
 			g.BeepRounds.Count, g.BeepRounds.Mean, g.PerSimRound.Mean,
-			g.MsgErr.Mean, g.MemErr.Mean, g.Beeps.Mean, g.WallMS.P50, g.WallMS.P90,
-			g.BuildMS.Mean)
+			g.MsgErr.Mean, g.MemErr.Mean, g.Beeps.Mean, simRounds, messages, verifiedCol,
+			g.WallMS.P50, g.WallMS.P90, g.BuildMS.Mean)
 	}
 	tw.Flush()
 }
@@ -415,7 +447,9 @@ func splitFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
+// fatal reports err under one "sweep:" prefix (errors from the sweep
+// package carry their own) and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
+	fmt.Fprintln(os.Stderr, "sweep:", strings.TrimPrefix(err.Error(), "sweep: "))
 	os.Exit(1)
 }

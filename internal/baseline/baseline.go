@@ -20,11 +20,8 @@ package baseline
 import (
 	"fmt"
 
-	"repro/internal/beep"
-	"repro/internal/bitstring"
 	"repro/internal/congest"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/noise"
 	"repro/internal/obs"
@@ -57,21 +54,11 @@ type Config struct {
 	// engine.AutoWorkers = GOMAXPROCS).
 	Workers int
 	Shards  int
-	// Metrics, when non-nil, receives baseline telemetry — encode/decode
-	// phase timers, slot counters, and (via the beep channel) per-model
-	// noise-flip accounting; the sliced runner adds lane occupancy and
-	// retirement. Observation-only per the determinism contract.
+	// Metrics, when non-nil, receives baseline telemetry — encode, radio
+	// and decode phase timers, round counters, lane occupancy and
+	// retirement, and per-model noise-flip accounting. Observation-only
+	// per the determinism contract.
 	Metrics *obs.Registry
-}
-
-// tdmaMetrics are the flat runner's resolved telemetry handles; the
-// zero value is the disabled state.
-type tdmaMetrics struct {
-	simRounds   *obs.Counter // simulated Broadcast CONGEST rounds
-	emptyRounds *obs.Counter // zero-sender rounds (radio window skipped)
-	encodeT     *obs.Timer   // phase: slot-pattern encoding
-	radioT      *obs.Timer   // phase: the TDMA window
-	decodeT     *obs.Timer   // phase: majority decode + deliver + score
 }
 
 // DefaultRho returns a repetition count calibrated to eps, mirroring the
@@ -93,100 +80,67 @@ func DefaultRho(eps float64) int {
 	}
 }
 
-// Runner simulates Broadcast CONGEST rounds with the color-scheduled
-// baseline. Like the Algorithm 1 runner it owns its per-round buffers —
-// slot patterns, receptions, and per-shard decode/score scratch — so
-// steady-state rounds allocate only inside algorithm callbacks; inboxes
-// are borrowed per the congest.BroadcastAlgorithm contract.
-type Runner struct {
+// schedule is the TDMA schedule a runner executes: the validated
+// configuration (ρ defaulted), the distance-2 coloring that gives each
+// color class its own slot, the slot arithmetic, the node environment,
+// ground-truth scoring, and the TDMA telemetry handles.
+type schedule struct {
 	g         *graph.Graph
 	cfg       Config
 	colors    []int
 	numColors int
-	nw        *beep.Network
-
-	patterns []*bitstring.BitString
-	patBuf   []*bitstring.BitString // per-node slot patterns, created lazily
-	heard    []*bitstring.BitString
-	scratch  []*shardScratch
-	m        tdmaMetrics
+	m         tdmaMetrics
 }
 
-// shardScratch is one execution-pool shard's reusable decode/score state.
-type shardScratch struct {
-	inbox     []congest.Message
-	msgPool   congest.MessagePool
-	truth     []congest.Message
-	truthPool congest.MessagePool
+// tdmaMetrics are the resolved TDMA telemetry handles; the zero value
+// is the disabled state.
+type tdmaMetrics struct {
+	simRounds   *obs.Counter // simulated Broadcast CONGEST rounds, per lane
+	emptyRounds *obs.Counter // per-lane zero-sender rounds (radio window skipped)
+	encodeT     *obs.Timer   // phase: slot-pattern encoding
+	radioT      *obs.Timer   // phase: the TDMA window, summed over shards
+	decodeT     *obs.Timer   // phase: majority decode + deliver + score, summed over shards
 }
 
-// NewRunner builds a baseline runner over g.
-func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
+// newSchedule validates cfg and colors G². It returns the channel model
+// the runner transmits over: the parsed cfg.Noise, or the symmetric{ε}
+// channel when cfg.Noise is empty.
+func newSchedule(g *graph.Graph, cfg Config) (schedule, noise.Model, error) {
 	if cfg.MsgBits <= 0 {
-		return nil, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
+		return schedule{}, nil, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
 	}
-	var model noise.Model
+	var model noise.Model = noise.Symmetric{Eps: cfg.Epsilon}
 	calibEps := cfg.Epsilon
 	if cfg.Noise != "" {
 		if cfg.Epsilon != 0 {
-			return nil, fmt.Errorf("baseline: both ε = %v and channel %s given; the model owns the channel, leave ε 0", cfg.Epsilon, cfg.Noise)
+			return schedule{}, nil, fmt.Errorf("baseline: both ε = %v and channel %s given; the model owns the channel, leave ε 0", cfg.Epsilon, cfg.Noise)
 		}
 		var err error
 		if model, err = noise.Parse(cfg.Noise); err != nil {
-			return nil, fmt.Errorf("baseline: %w", err)
+			return schedule{}, nil, fmt.Errorf("baseline: %w", err)
 		}
 		// Hostile models calibrate against their worst-case per-window
 		// rate; stochastic ones against the worst marginal flip rate.
 		calibEps = noise.CalibrationRate(model)
 		if calibEps >= 0.5 {
-			return nil, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", cfg.Noise, calibEps)
+			return schedule{}, nil, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", cfg.Noise, calibEps)
 		}
+	} else if cfg.Epsilon < 0 || cfg.Epsilon >= 0.5 {
+		return schedule{}, nil, fmt.Errorf("baseline: ε = %v outside [0, 0.5)", cfg.Epsilon)
 	}
 	if cfg.Rho == 0 {
 		cfg.Rho = DefaultRho(calibEps)
 	}
 	if cfg.Rho < 1 || cfg.Rho%2 == 0 {
-		return nil, fmt.Errorf("baseline: repetition ρ = %d must be odd and positive", cfg.Rho)
-	}
-	beepParams := beep.Params{
-		Epsilon:  cfg.Epsilon,
-		NoisyOwn: cfg.NoisyOwn,
-		Seed:     cfg.ChannelSeed,
-		Workers:  cfg.Workers,
-		Shards:   cfg.Shards,
-		Metrics:  cfg.Metrics,
-	}
-	if model != nil {
-		beepParams.Epsilon, beepParams.Noise = 0, model
-	}
-	nw, err := beep.NewNetwork(g, beepParams)
-	if err != nil {
-		return nil, err
+		return schedule{}, nil, fmt.Errorf("baseline: repetition ρ = %d must be odd and positive", cfg.Rho)
 	}
 	colors, err := g.DistanceTwoColoring()
 	if err != nil {
-		return nil, fmt.Errorf("baseline: distance-2 coloring: %w", err)
+		return schedule{}, nil, fmt.Errorf("baseline: distance-2 coloring: %w", err)
 	}
-	r := &Runner{
-		g:         g,
-		cfg:       cfg,
-		colors:    colors,
-		numColors: graph.NumColors(colors),
-		nw:        nw,
-	}
-	n := g.N()
-	r.patterns = make([]*bitstring.BitString, n)
-	r.patBuf = make([]*bitstring.BitString, n)
-	r.heard = make([]*bitstring.BitString, n)
-	for v := 0; v < n; v++ {
-		r.heard[v] = bitstring.New(r.RoundsPerSimRound())
-	}
-	r.scratch = make([]*shardScratch, nw.Pool().NumShards(n))
-	for i := range r.scratch {
-		r.scratch[i] = &shardScratch{}
-	}
+	s := schedule{g: g, cfg: cfg, colors: colors, numColors: graph.NumColors(colors)}
 	if reg := cfg.Metrics; reg != nil {
-		r.m = tdmaMetrics{
+		s.m = tdmaMetrics{
 			simRounds:   reg.Counter("tdma.rounds.sim"),
 			emptyRounds: reg.Counter("tdma.rounds.empty"),
 			encodeT:     reg.Timer("tdma.phase.encode_nanos"),
@@ -194,185 +148,51 @@ func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
 			decodeT:     reg.Timer("tdma.phase.decode_nanos"),
 		}
 	}
-	return r, nil
+	return s, model, nil
 }
 
 // NumColors returns the schedule length (color classes of G²).
-func (r *Runner) NumColors() int { return r.numColors }
+func (s *schedule) NumColors() int { return s.numColors }
 
 // Rho returns the effective per-bit repetition count (after defaulting),
 // so result records can report the baseline's full parameterization.
-func (r *Runner) Rho() int { return r.cfg.Rho }
+func (s *schedule) Rho() int { return s.cfg.Rho }
 
 // RoundsPerSimRound returns the beep rounds per simulated round:
 // one slot of (1+MsgBits)·ρ rounds per color class (the leading bit is the
 // presence beacon distinguishing transmission from silence).
-func (r *Runner) RoundsPerSimRound() int {
-	return r.numColors * (1 + r.cfg.MsgBits) * r.cfg.Rho
-}
+func (s *schedule) RoundsPerSimRound() int { return s.numColors * s.slotLen() }
 
 // slotLen returns the beep rounds per color slot.
-func (r *Runner) slotLen() int { return (1 + r.cfg.MsgBits) * r.cfg.Rho }
+func (s *schedule) slotLen() int { return (1 + s.cfg.MsgBits) * s.cfg.Rho }
 
-// Env mirrors the native engine's environment.
-func (r *Runner) Env(v int) congest.Env {
+// env mirrors the native engine's environment, without the node's
+// algorithm stream (Run derives each lane's from the lane's AlgSeed).
+func (s *schedule) env(v int) congest.Env {
 	return congest.Env{
 		ID:        v,
-		N:         r.g.N(),
-		Degree:    r.g.Degree(v),
-		MaxDegree: r.g.MaxDegree(),
-		MsgBits:   r.cfg.MsgBits,
-		Rng:       congest.NodeStream(r.cfg.AlgSeed, v),
+		N:         s.g.N(),
+		Degree:    s.g.Degree(v),
+		MaxDegree: s.g.MaxDegree(),
+		MsgBits:   s.cfg.MsgBits,
 	}
 }
 
-// Run simulates the algorithms for at most maxSimRounds Broadcast CONGEST
-// rounds. The result type is shared with core for comparability;
-// MembershipErrors counts presence-detection mistakes (phantom or missed
-// transmissions). Per-node phases run on the beep network's deterministic
-// sharded pool (Config.Workers/Shards); results are bit-identical to a
-// serial run.
-func (r *Runner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds int) (*core.Result, error) {
-	n := r.g.N()
-	if len(algs) != n {
-		return nil, fmt.Errorf("baseline: %d algorithms for %d nodes", len(algs), n)
-	}
-	pool := r.nw.Pool()
-	for v, a := range algs {
-		a.Init(r.Env(v))
-	}
-	res := &core.Result{}
-	msgs := make([]congest.Message, n)
-	scores := make([]core.ScoreDelta, pool.NumShards(n))
-	collector := congest.NewCollector(pool, algs, msgs, r.cfg.MsgBits, "baseline")
-	doneAt := func(v int) bool { return algs[v].Done() }
-
-	// Span callbacks are built once, before the round loop (see the
-	// Algorithm 1 runner): steady-state rounds create no closures.
-	curRound := 0
-	total := r.RoundsPerSimRound()
-	encodePhase := func(s engine.Span) {
-		for v := s.Lo; v < s.Hi; v++ {
-			r.patterns[v] = nil
-			if msgs[v] == nil {
-				continue
-			}
-			if r.patBuf[v] == nil {
-				r.patBuf[v] = bitstring.New(total)
-			}
-			p := r.patBuf[v]
-			p.Reset()
-			base := r.colors[v] * r.slotLen()
-			p.SetRange(base, base+r.cfg.Rho) // presence beacon
-			for bit := 0; bit < r.cfg.MsgBits; bit++ {
-				if !wire.Bit(msgs[v], bit) {
-					continue
-				}
-				off := base + (1+bit)*r.cfg.Rho
-				p.SetRange(off, off+r.cfg.Rho)
-			}
-			r.patterns[v] = p
-		}
-	}
-	decodePhase := func(s engine.Span) {
-		sc := r.scratch[s.Index]
-		scores[s.Index] = core.ScoreDelta{}
-		for v := s.Lo; v < s.Hi; v++ {
-			a := algs[v]
-			if a.Done() {
-				continue
-			}
-			inbox := r.decode(v, r.heard[v], sc)
-			congest.SortMessages(inbox)
-			r.score(sc, &scores[s.Index], v, msgs, inbox)
-			a.Receive(curRound, inbox)
-			sc.inbox = inbox[:0]
-		}
-	}
-
-	simRounds, allDone, err := pool.Loop(n, maxSimRounds, doneAt, func(round int) error {
-		curRound = round
-		r.m.simRounds.Inc()
-		senders, err := collector.Collect(round)
-		if err != nil {
-			return err
-		}
-		if senders == 0 {
-			r.m.emptyRounds.Inc()
-			for _, a := range algs {
-				if !a.Done() {
-					a.Receive(round, nil)
-				}
-			}
-			return nil
-		}
-
-		sp := r.m.encodeT.Start()
-		pool.Do(n, encodePhase)
-		sp.Stop()
-		sp = r.m.radioT.Start()
-		if err := r.nw.RunPhaseInto(r.patterns, r.heard); err != nil {
-			return err
-		}
-		sp.Stop()
-		res.BeepRounds += total
-
-		sp = r.m.decodeT.Start()
-		pool.Do(n, decodePhase)
-		sp.Stop()
-		res.AddScores(scores)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.SimRounds = simRounds
-	res.AllDone = allDone
-	res.Outputs = make([]any, n)
-	for v, a := range algs {
-		res.Outputs[v] = a.Output()
-	}
-	res.Beeps = r.nw.TotalBeeps()
-	return res, nil
+// scoreScratch is one shard's reusable ground-truth buffer for score.
+type scoreScratch struct {
+	truth     []congest.Message
+	truthPool congest.MessagePool
 }
 
-// decode reads every foreign color slot: majority presence beacon, then
-// per-bit majority for the payload. Messages land in the shard's reusable
-// buffers; the returned inbox is borrowed.
-func (r *Runner) decode(v int, heard *bitstring.BitString, sc *shardScratch) []congest.Message {
-	inbox := sc.inbox[:0]
-	msgBytes := (r.cfg.MsgBits + 7) / 8
-	for c := 0; c < r.numColors; c++ {
-		if c == r.colors[v] {
-			continue // our own slot (we cannot listen while beeping)
-		}
-		base := c * r.slotLen()
-		if !r.majority(heard, base) {
-			continue
-		}
-		m := sc.msgPool.Buf(len(inbox), msgBytes)
-		for i := range m {
-			m[i] = 0
-		}
-		for bit := 0; bit < r.cfg.MsgBits; bit++ {
-			if r.majority(heard, base+(1+bit)*r.cfg.Rho) {
-				wire.SetBit(m, bit, true)
-			}
-		}
-		inbox = append(inbox, m)
-	}
-	return inbox
-}
-
-func (r *Runner) majority(heard *bitstring.BitString, off int) bool {
-	return 2*heard.OnesRange(off, off+r.cfg.Rho) > r.cfg.Rho
-}
-
-func (r *Runner) score(sc *shardScratch, d *core.ScoreDelta, v int, msgs []congest.Message, inbox []congest.Message) {
+// score compares v's decoded inbox against what a native engine would
+// deliver from the round's collected broadcasts msgs, counting one
+// membership error when the sender count differs and one message error
+// when the sorted message multisets differ.
+func (s *schedule) score(sc *scoreScratch, d *core.ScoreDelta, v int, msgs []congest.Message, inbox []congest.Message) {
 	truth := sc.truth[:0]
-	msgBytes := (r.cfg.MsgBits + 7) / 8
+	msgBytes := (s.cfg.MsgBits + 7) / 8
 	presence := 0
-	for _, u := range r.g.Row(v) {
+	for _, u := range s.g.Row(v) {
 		if msgs[u] != nil {
 			presence++
 			truth = append(truth, sc.truthPool.PadInto(len(truth), msgBytes, msgs[u]))
@@ -385,7 +205,7 @@ func (r *Runner) score(sc *shardScratch, d *core.ScoreDelta, v int, msgs []conge
 	equal := len(truth) == len(inbox)
 	if equal {
 		for i := range truth {
-			if !wire.Equal(truth[i], inbox[i], r.cfg.MsgBits) {
+			if !wire.Equal(truth[i], inbox[i], s.cfg.MsgBits) {
 				equal = false
 				break
 			}
@@ -395,6 +215,30 @@ func (r *Runner) score(sc *shardScratch, d *core.ScoreDelta, v int, msgs []conge
 		d.Message++
 	}
 	sc.truth = truth
+}
+
+// Runner is the single-replicate form of SlicedRunner: one lane over
+// cfg's ChannelSeed and AlgSeed.
+type Runner struct{ *SlicedRunner }
+
+// NewRunner builds a baseline runner over g.
+func NewRunner(g *graph.Graph, cfg Config) (*Runner, error) {
+	r, err := NewSlicedRunner(g, cfg, []LaneConfig{{ChannelSeed: cfg.ChannelSeed, AlgSeed: cfg.AlgSeed}})
+	if err != nil {
+		return nil, err
+	}
+	return &Runner{r}, nil
+}
+
+// Run simulates the algorithms for at most maxSimRounds Broadcast CONGEST
+// rounds (SlicedRunner.Run over one lane). The result type is shared
+// with core for comparability.
+func (r *Runner) Run(algs []congest.BroadcastAlgorithm, maxSimRounds int) (*core.Result, error) {
+	res, err := r.SlicedRunner.Run([][]congest.BroadcastAlgorithm{algs}, maxSimRounds)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // EstimatedSetupRounds reports the setup cost of the [4] baseline,

@@ -51,16 +51,31 @@ func (g *gossip) Receive(round int, msgs []congest.Message) {
 func (g *gossip) Done() bool  { return g.done }
 func (g *gossip) Output() any { return g.got }
 
+// TestBaselineConfigValidation runs every rejection the shared schedule
+// owns against both constructors, so neither runner can drift from the
+// other's input contract.
 func TestBaselineConfigValidation(t *testing.T) {
 	g := graph.Path(3)
-	if _, err := NewRunner(g, Config{MsgBits: 0}); err == nil {
-		t.Error("MsgBits=0 accepted")
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"MsgBits=0", Config{MsgBits: 0}},
+		{"even ρ", Config{MsgBits: 8, Rho: 2}},
+		{"negative ρ", Config{MsgBits: 8, Rho: -3}},
+		{"ε=0.7", Config{MsgBits: 8, Epsilon: 0.7}},
+		{"ε<0", Config{MsgBits: 8, Epsilon: -0.1}},
+		{"ε and model both set", Config{MsgBits: 8, Epsilon: 0.1, Noise: "erasure:0.1:0"}},
+		{"unknown model", Config{MsgBits: 8, Noise: "no-such-model:0.1"}},
+		{"malformed spec", Config{MsgBits: 8, Noise: "gilbert-elliott:0.1"}},
 	}
-	if _, err := NewRunner(g, Config{MsgBits: 8, Rho: 2}); err == nil {
-		t.Error("even ρ accepted")
-	}
-	if _, err := NewRunner(g, Config{MsgBits: 8, Epsilon: 0.7}); err == nil {
-		t.Error("ε=0.7 accepted")
+	for _, tc := range cases {
+		if _, err := NewRunner(g, tc.cfg); err == nil {
+			t.Errorf("NewRunner: %s accepted", tc.name)
+		}
+		if _, err := NewSlicedRunner(g, tc.cfg, laneSeeds(2)); err == nil {
+			t.Errorf("NewSlicedRunner: %s accepted", tc.name)
+		}
 	}
 }
 

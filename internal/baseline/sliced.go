@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math/bits"
+	"time"
 
 	"repro/internal/beep"
 	"repro/internal/bitstring"
@@ -22,40 +23,36 @@ type LaneConfig struct {
 	AlgSeed     uint64
 }
 
-// SlicedRunner advances up to 64 replicates of the TDMA baseline at
-// once: lane k of every word belongs to replicate k. All replicates
-// share the graph, the coloring, and every Config field except the
-// seeds; each lane runs its own algorithm instances against its own
-// channel and algorithm streams.
+// SlicedRunner simulates Broadcast CONGEST rounds with the
+// color-scheduled baseline for up to 64 replicates at once: lane k of
+// every word belongs to replicate k. All replicates share the graph, the
+// coloring, and every Config field except the seeds; each lane runs its
+// own algorithm instances against its own channel and algorithm streams.
+// A single replicate is a one-lane run (Runner).
 //
 // The data layout is lane-transposed. A node's slot pattern is
 // []uint64 of slotLen() words — word j holds all lanes' beep decisions
 // for slot j of the node's own color slot (patterns are zero outside
-// it, which is what makes sliced propagation cheap: the OR over the
-// inclusive neighborhood touches (deg+1)·slotLen words instead of the
-// serial path's per-lane full windows). Receptions are []uint64 of
-// RoundsPerSimRound() words per node; TDMA majorities become vertical
-// counters over ρ words (bitstring.LaneCountAtLeast), resolving all
-// lanes of one beacon or payload bit together.
+// it, so the OR over the inclusive neighborhood touches (deg+1)·slotLen
+// words). A node's reception window is RoundsPerSimRound() words, built,
+// noised and decoded in one per-shard buffer, so no window outlives its
+// node's decode; TDMA majorities become vertical counters over ρ words
+// (bitstring.LaneCountAtLeast), resolving all lanes of one beacon or
+// payload bit together.
 //
-// Every observable is bit-identical to running each lane through a
-// standalone Runner with the lane's seeds (the conformance suite pins
-// this per engine × workload × noise model × lane count). The
+// Every observable of a lane is a function of the lane's seeds alone (the
+// conformance suite pins this per noise model × lane count). The
 // ingredients: per-(lane, node) noise samplers over the lane's own
 // absolute round counter (beep.SlicedChannel), advanced only on the
 // lane's sending rounds; per-lane sender counts, so a lane whose round
 // has no senders skips the radio entirely — no noise consumed, no beep
-// rounds — exactly like the serial zero-sender short-circuit; and
-// per-lane done/retire tracking replicating engine.Pool.Loop round
-// accounting.
+// rounds; and per-lane done/retire tracking replicating engine.Pool.Loop
+// round accounting.
 type SlicedRunner struct {
-	g         *graph.Graph
-	cfg       Config
-	lanes     []LaneConfig
-	colors    []int
-	numColors int
-	pool      *engine.Pool
-	channel   *beep.SlicedChannel
+	schedule
+	lanes   []LaneConfig
+	pool    *engine.Pool
+	channel *beep.SlicedChannel
 	// quiet records that the channel model can never flip a bit
 	// (noise.Model.Noiseless). On a quiet channel decode is exact —
 	// every majority resolves to the transmitted pattern — so both
@@ -64,84 +61,57 @@ type SlicedRunner struct {
 
 	patterns [][]uint64          // [v][slotLen()], own-color-slot transposed beeps
 	sendMask []uint64            // [v] lanes in which v transmits this round
-	doneMask []uint64            // [v] lanes whose node v was done at collect time
-	heard    [][]uint64          // [v][RoundsPerSimRound()] transposed receptions
+	doneMask []uint64            // [v] lanes whose node v was done after its Broadcast
 	msgs     [][]congest.Message // [lane][v]
 	scratch  []*slicedScratch
-	m        slicedMetrics
+	sm       slicedMetrics
 }
 
-// slicedMetrics are the sliced runner's telemetry handles; zero value =
-// disabled. Occupancy and retirement are the sliced path's distinctive
-// signals: how full the 64-lane words actually run, and how unevenly
-// replicates finish.
+// slicedMetrics are the sliced runner's telemetry beyond the shared TDMA
+// set; zero value = disabled. Occupancy and retirement are the sliced
+// path's distinctive signals: how full the 64-lane words actually run,
+// and how unevenly replicates finish.
 type slicedMetrics struct {
-	lanes      *obs.Counter   // lanes started (one per replicate per Run)
-	laneRounds *obs.Counter   // sum over rounds of active lanes
-	retired    *obs.Counter   // lanes retired before the round budget
-	windows    *obs.Counter   // transposed radio windows executed
-	occupancy  *obs.Histogram // active lanes per executed round
+	lanes     *obs.Counter   // lanes started (one per replicate per Run)
+	retired   *obs.Counter   // lanes retired before the round budget
+	windows   *obs.Counter   // transposed radio windows executed
+	occupancy *obs.Histogram // active lanes per executed round
 }
 
 // slicedScratch is one pool shard's reusable per-round state.
 type slicedScratch struct {
-	inbox     [][]congest.Message   // per lane
-	msgPool   []congest.MessagePool // per lane
-	truth     []congest.Message
-	truthPool congest.MessagePool
-	protect   []uint64          // zero except while one node's noise is applied
-	bm        []uint64          // [MsgBits] per-bit lane masks (encodePhase scatter)
-	scores    []core.ScoreDelta // per lane, current round
-	sends     []int64           // per lane, current round
-	ones      []int64           // per lane, payload bits set this round
-	err       error
-	errNode   int
+	scoreScratch
+	inbox   [][]congest.Message   // per lane
+	msgPool []congest.MessagePool // per lane
+	win     []uint64              // [RoundsPerSimRound()] the current node's transposed receptions
+	protect []uint64              // zero except while one node's noise is applied (own receptions noise-free only)
+	bm      []uint64              // [MsgBits] per-bit lane masks (encodePhase scatter)
+	scores  []core.ScoreDelta     // per lane, current round
+	sends   []int64               // per lane, current round
+	ones    []int64               // per lane, payload bits set this round
+	radio   time.Duration         // listenPhase time spent building windows (traced runs)
+	decode  time.Duration         // listenPhase time spent decoding and delivering (traced runs)
+	err     error
+	errNode int
 }
 
 // NewSlicedRunner builds a sliced baseline runner over g with one lane
 // per entry of lanes (at most 64). cfg's ChannelSeed and AlgSeed are
 // ignored — seeds are per-lane.
 func NewSlicedRunner(g *graph.Graph, cfg Config, lanes []LaneConfig) (*SlicedRunner, error) {
-	if cfg.MsgBits <= 0 {
-		return nil, fmt.Errorf("baseline: MsgBits = %d", cfg.MsgBits)
-	}
 	if len(lanes) == 0 || len(lanes) > 64 {
 		return nil, fmt.Errorf("baseline: %d lanes outside [1, 64]", len(lanes))
 	}
-	var model noise.Model
-	calibEps := cfg.Epsilon
-	if cfg.Noise != "" {
-		if cfg.Epsilon != 0 {
-			return nil, fmt.Errorf("baseline: both ε = %v and channel %s given; the model owns the channel, leave ε 0", cfg.Epsilon, cfg.Noise)
-		}
-		var err error
-		if model, err = noise.Parse(cfg.Noise); err != nil {
-			return nil, fmt.Errorf("baseline: %w", err)
-		}
-		// Hostile models calibrate against their worst-case per-window
-		// rate; stochastic ones against the worst marginal flip rate.
-		calibEps = noise.CalibrationRate(model)
-		if calibEps >= 0.5 {
-			return nil, fmt.Errorf("baseline: channel %s: calibration rate %v outside [0, 0.5)", cfg.Noise, calibEps)
-		}
-	} else {
-		if cfg.Epsilon < 0 || cfg.Epsilon >= 0.5 {
-			return nil, fmt.Errorf("baseline: ε = %v outside [0, 0.5)", cfg.Epsilon)
-		}
-		model = noise.Symmetric{Eps: cfg.Epsilon}
-	}
-	if cfg.Rho == 0 {
-		cfg.Rho = DefaultRho(calibEps)
-	}
-	if cfg.Rho < 1 || cfg.Rho%2 == 0 {
-		return nil, fmt.Errorf("baseline: repetition ρ = %d must be odd and positive", cfg.Rho)
+	sched, model, err := newSchedule(g, cfg)
+	if err != nil {
+		return nil, err
 	}
 	seeds := make([]uint64, len(lanes))
 	for k, lc := range lanes {
 		seeds[k] = lc.ChannelSeed
 	}
 	// Topology-aware models bind here exactly as beep.NewNetwork binds for
-	// flat runs, so a lane's receptions match its lane-serial twin.
+	// the other beep engines.
 	if tb, ok := model.(noise.TopologyBinder); ok {
 		deg := make([]int, g.N())
 		for v := range deg {
@@ -153,29 +123,22 @@ func NewSlicedRunner(g *graph.Graph, cfg Config, lanes []LaneConfig) (*SlicedRun
 	if err != nil {
 		return nil, err
 	}
-	colors, err := g.DistanceTwoColoring()
-	if err != nil {
-		return nil, fmt.Errorf("baseline: distance-2 coloring: %w", err)
-	}
 	r := &SlicedRunner{
-		g:         g,
-		cfg:       cfg,
-		lanes:     append([]LaneConfig(nil), lanes...),
-		colors:    colors,
-		numColors: graph.NumColors(colors),
-		pool:      engine.NewPool(cfg.Workers, cfg.Shards),
-		channel:   channel,
-		quiet:     model.Noiseless(),
+		schedule: sched,
+		lanes:    append([]LaneConfig(nil), lanes...),
+		pool:     engine.NewPool(cfg.Workers, cfg.Shards),
+		channel:  channel,
+		quiet:    model.Noiseless(),
 	}
 	n := g.N()
 	total := r.RoundsPerSimRound()
 	r.patterns = make([][]uint64, n)
 	r.sendMask = make([]uint64, n)
 	r.doneMask = make([]uint64, n)
-	r.heard = make([][]uint64, n)
-	for v := 0; v < n; v++ {
-		r.patterns[v] = make([]uint64, r.slotLen())
-		r.heard[v] = make([]uint64, total)
+	slot := r.slotLen()
+	slab := make([]uint64, n*slot)
+	for v := range r.patterns {
+		r.patterns[v] = slab[v*slot : (v+1)*slot : (v+1)*slot]
 	}
 	r.msgs = make([][]congest.Message, len(lanes))
 	for k := range r.msgs {
@@ -193,20 +156,22 @@ func NewSlicedRunner(g *graph.Graph, cfg Config, lanes []LaneConfig) (*SlicedRun
 		r.scratch[i] = &slicedScratch{
 			inbox:   inbox,
 			msgPool: make([]congest.MessagePool, len(lanes)),
-			protect: make([]uint64, total),
+			win:     make([]uint64, total),
 			bm:      make([]uint64, cfg.MsgBits),
 			scores:  make([]core.ScoreDelta, len(lanes)),
 			sends:   make([]int64, len(lanes)),
 			ones:    make([]int64, len(lanes)),
 		}
+		if !cfg.NoisyOwn {
+			r.scratch[i].protect = make([]uint64, total)
+		}
 	}
 	if reg := cfg.Metrics; reg != nil {
-		r.m = slicedMetrics{
-			lanes:      reg.Counter("tdma.sliced.lanes"),
-			laneRounds: reg.Counter("tdma.sliced.lane_rounds"),
-			retired:    reg.Counter("tdma.sliced.retired_early"),
-			windows:    reg.Counter("tdma.sliced.windows"),
-			occupancy:  reg.Histogram("tdma.sliced.occupancy"),
+		r.sm = slicedMetrics{
+			lanes:     reg.Counter("tdma.sliced.lanes"),
+			retired:   reg.Counter("tdma.sliced.retired_early"),
+			windows:   reg.Counter("tdma.sliced.windows"),
+			occupancy: reg.Histogram("tdma.sliced.occupancy"),
 		}
 		r.pool.Instrument(&engine.PoolMetrics{
 			Do:    reg.Counter("pool.do"),
@@ -227,44 +192,14 @@ func NewSlicedRunner(g *graph.Graph, cfg Config, lanes []LaneConfig) (*SlicedRun
 	return r, nil
 }
 
-// NumColors returns the schedule length (color classes of G²).
-func (r *SlicedRunner) NumColors() int { return r.numColors }
-
-// Rho returns the effective per-bit repetition count (after defaulting).
-func (r *SlicedRunner) Rho() int { return r.cfg.Rho }
-
-// Lanes returns the replicate count.
-func (r *SlicedRunner) Lanes() int { return len(r.lanes) }
-
-// RoundsPerSimRound mirrors Runner.RoundsPerSimRound.
-func (r *SlicedRunner) RoundsPerSimRound() int {
-	return r.numColors * (1 + r.cfg.MsgBits) * r.cfg.Rho
-}
-
-func (r *SlicedRunner) slotLen() int { return (1 + r.cfg.MsgBits) * r.cfg.Rho }
-
-// Env mirrors Runner.Env for lane k's node v.
-func (r *SlicedRunner) Env(k, v int) congest.Env {
-	env := r.envNoRng(v)
-	env.Rng = congest.NodeStream(r.lanes[k].AlgSeed, v)
-	return env
-}
-
-func (r *SlicedRunner) envNoRng(v int) congest.Env {
-	return congest.Env{
-		ID:        v,
-		N:         r.g.N(),
-		Degree:    r.g.Degree(v),
-		MaxDegree: r.g.MaxDegree(),
-		MsgBits:   r.cfg.MsgBits,
-	}
-}
-
 // Run simulates every lane for at most maxSimRounds Broadcast CONGEST
 // rounds: algs[k] is lane k's per-node algorithm set. It returns one
-// result per lane, each bit-identical to Runner.Run over the lane's
-// seeds. Lanes retire independently — a lane whose algorithms all
-// finish stops participating while the others continue.
+// result per lane, each bit-identical to a one-lane run over the lane's
+// seeds; MembershipErrors counts presence-detection mistakes (phantom or
+// missed transmissions). Lanes retire independently — a lane whose
+// algorithms all finish stops participating while the others continue.
+// Per-node phases run on a deterministic sharded pool
+// (Config.Workers/Shards); results are bit-identical for every setting.
 func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int) ([]*core.Result, error) {
 	n := r.g.N()
 	if len(algs) != len(r.lanes) {
@@ -276,7 +211,7 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 		}
 		streams := congest.NodeStreams(r.lanes[k].AlgSeed, n)
 		for v, a := range la {
-			env := r.envNoRng(v)
+			env := r.env(v)
 			env.Rng = &streams[v]
 			a.Init(env)
 		}
@@ -287,7 +222,7 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 	}
 
 	active := laneMask(len(r.lanes)) // lanes still inside their round loop
-	r.m.lanes.Add(int64(len(r.lanes)))
+	r.sm.lanes.Add(int64(len(r.lanes)))
 	senders := make([]int64, len(r.lanes))
 	var (
 		curRound   int
@@ -301,8 +236,9 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 		}
 		sc.err = nil
 		for v := s.Lo; v < s.Hi; v++ {
-			// One Done() call per (lane, node) feeds both the send skip
-			// and the round's done mask; decodePhase reads the mask
+			// The round's done mask is taken after Broadcast, which may
+			// finish the node: like the native engine, a node done at
+			// delivery time hears nothing. listenPhase reads the mask
 			// instead of re-querying every lane (no state changes in
 			// between — Receive for v happens after its decode).
 			var dm uint64
@@ -315,13 +251,16 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 					continue
 				}
 				msg := a.Broadcast(curRound)
+				if a.Done() {
+					dm |= 1 << uint(k)
+				}
 				if msg == nil {
 					continue
 				}
 				if err := congest.CheckWidth(msg, r.cfg.MsgBits); err != nil {
 					sc.err = fmt.Errorf("baseline: node %d round %d: %w", v, curRound, err)
 					sc.errNode = v
-					return // abandon the span, like the serial loop the error aborts
+					return // abandon the span: the error aborts the run
 				}
 				r.msgs[k][v] = msg
 				sc.sends[k]++
@@ -395,47 +334,28 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 		}
 	}
 	total := r.RoundsPerSimRound()
-	slot := r.slotLen()
-	radioPhase := func(s engine.Span) {
+	timed := r.m.decodeT != nil
+	// listenPhase is the radio and the decode fused per node: v's window
+	// is built, noised, decoded, scored and delivered in the shard's one
+	// buffer. A traced run splits the pass's time into its radio and
+	// decode shares with one clock read at each switch; the radio share
+	// also covers the channel's Advance.
+	listenPhase := func(s engine.Span) {
 		sc := r.scratch[s.Index]
-		for v := s.Lo; v < s.Hi; v++ {
-			win := r.heard[v]
-			clear(win)
-			if r.sendMask[v] != 0 {
-				copy(win[r.colors[v]*slot:], r.patterns[v])
-			}
-			for _, u := range r.g.Row(v) {
-				if r.sendMask[u] == 0 {
-					continue
-				}
-				// The distance-2 coloring guarantees at most one
-				// transmitter per color in v's neighborhood, so each OR
-				// lands in its own slot.
-				dst := win[r.colors[u]*slot:]
-				for j, w := range r.patterns[u] {
-					dst[j] |= w
-				}
-			}
-			var protect []uint64
-			if !r.cfg.NoisyOwn && r.sendMask[v] != 0 {
-				base := r.colors[v] * slot
-				copy(sc.protect[base:], r.patterns[v])
-				protect = sc.protect
-			}
-			r.channel.ApplyLaneNoise(v, win, total, curSenders, protect)
-			if protect != nil {
-				base := r.colors[v] * slot
-				clear(sc.protect[base : base+slot])
-			}
-		}
-	}
-	decodePhase := func(s engine.Span) {
-		sc := r.scratch[s.Index]
-		for k := range sc.scores {
-			sc.scores[k] = core.ScoreDelta{}
+		clear(sc.scores)
+		sc.radio, sc.decode = 0, 0
+		var t time.Time
+		if timed {
+			t = time.Now()
 		}
 		msgBytes := (r.cfg.MsgBits + 7) / 8
 		for v := s.Lo; v < s.Hi; v++ {
+			if !r.quiet {
+				r.listen(sc, v, curSenders)
+				if timed {
+					t = lap(t, &sc.radio)
+				}
+			}
 			need := curSenders &^ r.doneMask[v]
 			if need == 0 {
 				continue
@@ -450,12 +370,22 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 				inbox := sc.inbox[k]
 				congest.SortMessages(inbox)
 				if !r.quiet {
-					r.scoreLane(sc, &sc.scores[k], k, v, inbox)
+					r.score(&sc.scoreScratch, &sc.scores[k], v, r.msgs[k], inbox)
 				}
 				algs[k][v].Receive(curRound, inbox)
 				sc.inbox[k] = inbox[:0]
 			}
+			if timed {
+				t = lap(t, &sc.decode)
+			}
 		}
+	}
+	// Each lane's retirement test, built once: steady-state rounds
+	// create no closures.
+	doneAt := make([]func(int) bool, len(r.lanes))
+	for k := range doneAt {
+		la := algs[k]
+		doneAt[k] = func(v int) bool { return la[v].Done() }
 	}
 
 	for round := 0; round < maxSimRounds && active != 0; round++ {
@@ -463,23 +393,20 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 		// of engine.Pool.Loop's pre-round AllDone check.
 		for m := active; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
-			la := algs[k]
-			if r.pool.AllDone(n, func(v int) bool { return la[v].Done() }) {
+			if r.pool.AllDone(n, doneAt[k]) {
 				results[k].SimRounds = round
 				results[k].AllDone = true
 				active &^= 1 << uint(k)
-				r.m.retired.Inc()
+				r.sm.retired.Inc()
 			}
 		}
 		if active == 0 {
 			break
 		}
 		curRound, curActive = round, active
-		if r.m.occupancy != nil {
-			occ := int64(bits.OnesCount64(active))
-			r.m.occupancy.Observe(occ)
-			r.m.laneRounds.Add(occ)
-		}
+		occ := int64(bits.OnesCount64(active))
+		r.m.simRounds.Add(occ)
+		r.sm.occupancy.Observe(occ)
 		r.pool.Do(n, collectPhase)
 		var firstErr error
 		errNode := n
@@ -503,6 +430,7 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 				curSenders |= 1 << uint(k)
 			}
 		}
+		r.m.emptyRounds.Add(int64(bits.OnesCount64(active &^ curSenders)))
 		// Zero-sender lanes short-circuit the radio: every live algorithm
 		// hears silence and the lane's channel clock stands still.
 		for m := active &^ curSenders; m != 0; m &= m - 1 {
@@ -516,7 +444,9 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 		if curSenders == 0 {
 			continue
 		}
+		sp := r.m.encodeT.Start()
 		r.pool.Do(n, encodePhase)
+		sp.Stop()
 		for m := curSenders; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
 			var ones int64
@@ -526,16 +456,27 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 			results[k].Beeps += int64(r.cfg.Rho) * (senders[k] + ones)
 			results[k].BeepRounds += total
 		}
-		r.pool.Do(n, radioPhase)
+		r.pool.Do(n, listenPhase)
+		var radio, decode time.Duration
+		var t time.Time
+		if timed {
+			t = time.Now()
+		}
 		r.channel.Advance(curSenders, total)
-		r.m.windows.Inc()
-		r.pool.Do(n, decodePhase)
+		if timed {
+			lap(t, &radio)
+		}
+		r.sm.windows.Inc()
 		for _, sc := range r.scratch {
+			radio += sc.radio
+			decode += sc.decode
 			for k := range sc.scores {
 				results[k].MembershipErrors += sc.scores[k].Membership
 				results[k].MessageErrors += sc.scores[k].Message
 			}
 		}
+		r.m.radioT.Observe(radio)
+		r.m.decodeT.Observe(decode)
 	}
 	budgetRounds := maxSimRounds
 	if budgetRounds < 0 {
@@ -543,9 +484,8 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 	}
 	for m := active; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros64(m)
-		la := algs[k]
 		results[k].SimRounds = budgetRounds
-		results[k].AllDone = r.pool.AllDone(n, func(v int) bool { return la[v].Done() })
+		results[k].AllDone = r.pool.AllDone(n, doneAt[k])
 	}
 	for k := range results {
 		results[k].Outputs = make([]any, n)
@@ -556,12 +496,50 @@ func (r *SlicedRunner) Run(algs [][]congest.BroadcastAlgorithm, maxSimRounds int
 	return results, nil
 }
 
+// listen builds node v's reception window in sc.win for the lanes in
+// senders: the OR of its inclusive neighborhood's slot patterns, then
+// each sending lane's channel noise.
+func (r *SlicedRunner) listen(sc *slicedScratch, v int, senders uint64) {
+	slot := r.slotLen()
+	win := sc.win
+	clear(win)
+	if r.sendMask[v] != 0 {
+		copy(win[r.colors[v]*slot:], r.patterns[v])
+	}
+	for _, u := range r.g.Row(v) {
+		// The distance-2 coloring gives every node of v's inclusive
+		// neighborhood its own color, so the neighborhood OR is one copy
+		// per sender into its own slot.
+		if r.sendMask[u] != 0 {
+			copy(win[r.colors[u]*slot:], r.patterns[u])
+		}
+	}
+	var protect []uint64
+	if !r.cfg.NoisyOwn && r.sendMask[v] != 0 {
+		base := r.colors[v] * slot
+		copy(sc.protect[base:], r.patterns[v])
+		protect = sc.protect
+	}
+	r.channel.ApplyLaneNoise(v, win, len(win), senders, protect)
+	if protect != nil {
+		base := r.colors[v] * slot
+		clear(sc.protect[base : base+slot])
+	}
+}
+
+// lap adds the time since t to *acc and returns the current time.
+func lap(t time.Time, acc *time.Duration) time.Time {
+	now := time.Now()
+	*acc += now.Sub(t)
+	return now
+}
+
 // deliverQuiet fills sc.inbox for a noiseless channel. With no bit
 // flips every majority column resolves to the transmitted word, so each
 // heard message is provably the sender's collected broadcast,
-// zero-padded to the bandwidth — the beep windows need not be read. The
-// serial runner takes no such shortcut, so the conformance suite's
-// byte-identity checks pin the equivalence rather than assume it.
+// zero-padded to the bandwidth — the beep windows need not be built.
+// The golden TDMA records, stored by a runner that always decoded the
+// windows, pin the equivalence rather than assume it.
 func (r *SlicedRunner) deliverQuiet(sc *slicedScratch, v int, need uint64, msgBytes int) {
 	for _, u := range r.g.Row(v) {
 		hear := r.sendMask[u] & need
@@ -574,34 +552,32 @@ func (r *SlicedRunner) deliverQuiet(sc *slicedScratch, v int, need uint64, msgBy
 }
 
 // decodeNode fills sc.inbox[k] for every lane in need with node v's
-// decoded messages, in ascending color order (pre-sort order is shared
-// with the serial decoder so borrowed-buffer reuse patterns match).
+// messages decoded from sc.win, in ascending color order.
 func (r *SlicedRunner) decodeNode(sc *slicedScratch, v int, need uint64) {
 	rho, slot := r.cfg.Rho, r.slotLen()
 	thr := rho/2 + 1 // 2·ones > ρ for odd ρ
 	msgBytes := (r.cfg.MsgBits + 7) / 8
-	win := r.heard[v]
-	if rho == 1 && r.cfg.MsgBits <= 64 {
-		// ρ = 1 (the noiseless repetition count): every majority is a
-		// single word, so gather each heard lane's payload column into
-		// one accumulator and write whole bytes — no per-bit masks, no
-		// SetBit calls. Identical output to the general path below.
+	win := sc.win
+	if r.cfg.MsgBits <= 64 && (rho == 1 || need&(need-1) == 0) {
+		// One lane, or ρ = 1 (the noiseless repetition count): gather
+		// each heard lane's payload column into one accumulator and
+		// write whole bytes — no per-bit lane masks, no SetBit calls.
+		// Identical output to the general path below.
 		msgBits := r.cfg.MsgBits
 		for c := 0; c < r.numColors; c++ {
 			if c == r.colors[v] {
 				continue
 			}
 			base := c * slot
-			heardMask := win[base] & need
-			if heardMask == 0 {
-				continue
-			}
-			payload := win[base+1 : base+1+msgBits]
+			heardMask := majorityMask(win[base:base+rho], thr, need)
 			for m := heardMask; m != 0; m &= m - 1 {
-				k := bits.TrailingZeros64(m)
+				k := uint(bits.TrailingZeros64(m))
 				var acc uint64
-				for bit, w := range payload {
-					acc |= (w >> uint(k) & 1) << uint(bit)
+				for bit := 0; bit < msgBits; bit++ {
+					off := base + (1+bit)*rho
+					if laneCount(win[off:off+rho], k) >= thr {
+						acc |= 1 << uint(bit)
+					}
 				}
 				msg := sc.msgPool[k].Buf(len(sc.inbox[k]), msgBytes)
 				for i := range msg {
@@ -642,9 +618,9 @@ func (r *SlicedRunner) decodeNode(sc *slicedScratch, v int, need uint64) {
 }
 
 // majorityMask returns the lanes of need whose vertical count over win
-// reaches thr. ρ < 128 resolves all 64 lanes at once through the
-// vertical-counter compare; larger repetition falls back to per-lane
-// popcount columns.
+// reaches thr. With several lanes and ρ < 128 it resolves all 64 lanes
+// at once through the vertical-counter compare; one lane, or larger
+// repetition, counts per-lane columns instead.
 func majorityMask(win []uint64, thr int, need uint64) uint64 {
 	if thr <= 0 {
 		return need // LaneCountAtLeast saturates: every lane qualifies
@@ -665,54 +641,26 @@ func majorityMask(win []uint64, thr int, need uint64) uint64 {
 		}
 		return and & need
 	}
-	if len(win) < 128 {
+	if len(win) < 128 && need&(need-1) != 0 {
 		return bitstring.LaneCountAtLeast(win, thr) & need
 	}
 	var out uint64
 	for m := need; m != 0; m &= m - 1 {
 		k := uint(bits.TrailingZeros64(m))
-		cnt := 0
-		for _, w := range win {
-			cnt += int(w >> k & 1)
-		}
-		if cnt >= thr {
+		if laneCount(win, k) >= thr {
 			out |= 1 << k
 		}
 	}
 	return out
 }
 
-// scoreLane is Runner.score for lane k: it compares v's decoded inbox
-// against what a native engine would deliver from the lane's collected
-// broadcasts.
-func (r *SlicedRunner) scoreLane(sc *slicedScratch, d *core.ScoreDelta, k, v int, inbox []congest.Message) {
-	truth := sc.truth[:0]
-	msgBytes := (r.cfg.MsgBits + 7) / 8
-	msgs := r.msgs[k]
-	presence := 0
-	for _, u := range r.g.Row(v) {
-		if msgs[u] != nil {
-			presence++
-			truth = append(truth, sc.truthPool.PadInto(len(truth), msgBytes, msgs[u]))
-		}
+// laneCount returns lane k's count of ones over win.
+func laneCount(win []uint64, k uint) int {
+	cnt := 0
+	for _, w := range win {
+		cnt += int(w >> k & 1)
 	}
-	if presence != len(inbox) {
-		d.Membership++
-	}
-	congest.SortMessages(truth)
-	equal := len(truth) == len(inbox)
-	if equal {
-		for i := range truth {
-			if !wire.Equal(truth[i], inbox[i], r.cfg.MsgBits) {
-				equal = false
-				break
-			}
-		}
-	}
-	if !equal {
-		d.Message++
-	}
-	sc.truth = truth
+	return cnt
 }
 
 // laneMask returns the mask of the low n lanes.

@@ -422,7 +422,7 @@ func (s *advSampler) ApplyInto(words []uint64, start, end int, protect []uint64)
 	}
 }
 
-func (s *advSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
+func (s *advSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) (flips int64) {
 	mask := uint64(1) << uint(lane)
 	s.skipTo(start)
 	for s.pos < end {
@@ -431,8 +431,10 @@ func (s *advSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect
 		prot := protect != nil && protect[i]&mask != 0
 		if s.step(bit, prot) {
 			words[i] ^= mask
+			flips++
 		}
 	}
+	return flips
 }
 
 func (s *advSampler) FlipAt(t int, bit, protected bool) bool {
@@ -510,7 +512,7 @@ func (s jamSampler) ApplyInto(words []uint64, start, end int, protect []uint64) 
 	}
 }
 
-func (s jamSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
+func (s jamSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) (flips int64) {
 	mask := uint64(1) << uint(lane)
 	for t := start; t < end; t++ {
 		if !s.jammed(t) {
@@ -520,8 +522,12 @@ func (s jamSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect 
 		if protect != nil && protect[i]&mask != 0 {
 			continue
 		}
-		words[i] |= mask
+		if words[i]&mask == 0 {
+			words[i] |= mask
+			flips++
+		}
 	}
+	return flips
 }
 
 func (s jamSampler) FlipAt(t int, bit, protected bool) bool {

@@ -20,7 +20,8 @@ type Accountant interface {
 // acc. The wrapper is observation-only and preserves the wrapped
 // sampler's behavior exactly: it delegates all randomness consumption,
 // never reorders or adds stream reads, and counts by comparing words
-// before and after (XOR popcount) rather than by re-deriving the
+// before and after (XOR popcount) — on the lane path, by the changed
+// lane bits the sampler reports — rather than by re-deriving the
 // model's decisions, so receptions are byte-identical wrapped or not.
 // Protected slots and erasure slots that happen to re-assert the
 // current value change no bits and count zero, matching the FlipAt
@@ -68,21 +69,15 @@ func (c *countingSampler) FlipAt(t int, bit, protected bool) bool {
 	return flip
 }
 
-func (c *countingSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
-	n := end - start
-	if n < 0 || n > len(words) {
-		n = len(words)
-	}
-	pre := c.snapshot(words[:n])
-	c.s.ApplyLaneInto(words, start, end, lane, protect)
-	mask := uint64(1) << uint(lane)
-	var flips int64
-	for i, w := range words[:n] {
-		flips += int64(bits.OnesCount64((w ^ pre[i]) & mask))
-	}
+// ApplyLaneInto counts the flips the wrapped sampler reports: a lane
+// window holds one bit per word, so a snapshot would cost a pass over
+// the whole window per lane.
+func (c *countingSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) int64 {
+	flips := c.s.ApplyLaneInto(words, start, end, lane, protect)
 	if flips != 0 {
 		c.acc.Add(flips)
 	}
+	return flips
 }
 
 func (c *countingSampler) snapshot(words []uint64) []uint64 {

@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -115,8 +116,9 @@ func TestCountingFlipAtPath(t *testing.T) {
 	}
 }
 
-// TestCountingLanePath pins the replicate-sliced path: wrapping a lane
-// sampler counts exactly the lane's flips and leaves the transposed
+// TestCountingLanePath pins the replicate-sliced path: every sampler's
+// ApplyLaneInto reports exactly the lane bits it changed, and wrapping a
+// lane sampler counts exactly the lane's flips and leaves the transposed
 // words identical to an unwrapped sampler — other lanes' bits included.
 func TestCountingLanePath(t *testing.T) {
 	const seed = 41
@@ -140,11 +142,16 @@ func TestCountingLanePath(t *testing.T) {
 				got := append([]uint64(nil), pre...)
 				ref := append([]uint64(nil), pre...)
 				wrapped.ApplyLaneInto(got, start, end, lane, nil)
-				plain.ApplyLaneInto(ref, start, end, lane, nil)
+				flips := plain.ApplyLaneInto(ref, start, end, lane, nil)
+				var changed int64
 				for i := range ref {
 					if got[i] != ref[i] {
 						t.Fatalf("%s lane %d window [%d,%d): wrapper changed word %d", label, lane, start, end, i)
 					}
+					changed += int64(bits.OnesCount64((ref[i] ^ pre[i]) & (1 << uint(lane))))
+				}
+				if flips != changed {
+					t.Fatalf("%s lane %d window [%d,%d): ApplyLaneInto reports %d flips, %d lane bits changed", label, lane, start, end, flips, changed)
 				}
 				for t2 := start; t2 < end; t2++ {
 					bit := pre[t2-start]&(1<<uint(lane)) != 0

@@ -102,12 +102,12 @@ func (s *symmetricSampler) ApplyInto(words []uint64, start, end int, protect []u
 	}
 }
 
-func (s *symmetricSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
+func (s *symmetricSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) (flips int64) {
 	bit := uint64(1) << uint(lane)
 	for {
 		abs, ok := s.fs.Next(end)
 		if !ok {
-			return
+			return flips
 		}
 		if abs < start {
 			continue // positions consumed by earlier windows
@@ -117,6 +117,7 @@ func (s *symmetricSampler) ApplyLaneInto(words []uint64, start, end, lane int, p
 			continue // noise-free cell; the flip is consumed, not applied
 		}
 		words[i] ^= bit
+		flips++
 	}
 }
 
@@ -197,7 +198,7 @@ func (s *asymmetricSampler) ApplyInto(words []uint64, start, end int, protect []
 	}
 }
 
-func (s *asymmetricSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
+func (s *asymmetricSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) (flips int64) {
 	bit := uint64(1) << uint(lane)
 	a, aok := laneNext(s.fs01, start, end)
 	b, bok := laneNext(s.fs10, start, end)
@@ -222,8 +223,10 @@ func (s *asymmetricSampler) ApplyLaneInto(words []uint64, start, end, lane int, 
 		}
 		if flip && (protect == nil || protect[i]&bit == 0) {
 			words[i] ^= bit
+			flips++
 		}
 	}
+	return flips
 }
 
 // laneNext returns fs's next flip position in [start, end), consuming
@@ -329,21 +332,20 @@ func (s *erasureSampler) ApplyInto(words []uint64, start, end int, protect []uin
 	}
 }
 
-func (s *erasureSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
+func (s *erasureSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) (flips int64) {
 	bit := uint64(1) << uint(lane)
 	for {
 		abs, ok := laneNext(s.fs, start, end)
 		if !ok {
-			return
+			return flips
 		}
 		i := abs - start
 		if protect != nil && protect[i]&bit != 0 {
 			continue // erasure consumed but not applied, like ApplyInto's mask
 		}
-		if s.readAs1 {
-			words[i] |= bit
-		} else {
-			words[i] &^= bit
+		if (words[i]&bit != 0) != s.readAs1 {
+			words[i] ^= bit // the erased slot reads as the policy constant
+			flips++
 		}
 	}
 }
@@ -482,7 +484,7 @@ func (s *geSampler) ApplyInto(words []uint64, start, end int, protect []uint64) 
 	}
 }
 
-func (s *geSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) {
+func (s *geSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) (flips int64) {
 	bit := uint64(1) << uint(lane)
 	for s.pos < start {
 		s.step() // stale slots from earlier windows
@@ -496,7 +498,9 @@ func (s *geSampler) ApplyLaneInto(words []uint64, start, end, lane int, protect 
 			continue
 		}
 		words[i] ^= bit
+		flips++
 	}
+	return flips
 }
 
 func (s *geSampler) FlipAt(t int, bit, protected bool) bool {

@@ -95,8 +95,9 @@ type Sampler interface {
 	// layout. It must consume randomness identically to ApplyInto over
 	// the same window — lane k of a sliced run reads byte-for-byte the
 	// stream a standalone replicate-k run would — so the sliced engines'
-	// receptions are bit-identical to lane-serial execution.
-	ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64)
+	// receptions are bit-identical to lane-serial execution. It returns
+	// the number of slots whose lane bit it changed (the applied flips).
+	ApplyLaneInto(words []uint64, start, end, lane int, protect []uint64) (flips int64)
 }
 
 // streamKey is the split domain of per-node channel noise. It is the

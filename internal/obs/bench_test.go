@@ -7,7 +7,7 @@ import (
 // The telemetry on/off guard pair: BenchmarkObsDisabledCounter measures
 // the cost instrumented hot loops pay when telemetry is off (a nil
 // check), BenchmarkObsEnabledCounter the atomic-add cost when on.
-// scripts/bench.sh records both with -benchmem; the CI telemetry-guard
+// CI's bench smoke runs both with -benchmem; the CI telemetry-guard
 // step additionally runs TestDisabledPathOverheadBound, which fails the
 // build if the disabled path regresses beyond a generous bound.
 

@@ -152,7 +152,7 @@ func TestNilHandlesNoOp(t *testing.T) {
 // The zero-overhead contract from ISSUE 7 / DESIGN.md §2.15: the
 // disabled (nil-handle) path must not allocate. AllocsPerRun is exact
 // and deterministic, unlike ns/op, so this is the tier-1 guard; the
-// ns-level bound lives in the benchmarks that scripts/bench.sh and the
+// ns-level bound lives in the benchmarks that CI's bench smoke and the
 // CI telemetry-guard step run.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var r *Registry

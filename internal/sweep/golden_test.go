@@ -29,7 +29,12 @@ func pr4Grid() Grid {
 
 func readGolden(t *testing.T) [][]byte {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", "pr4_records.jsonl"))
+	return readGoldenFile(t, "pr4_records.jsonl")
+}
+
+func readGoldenFile(t *testing.T, name string) [][]byte {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +127,62 @@ func TestGoldenPR4StoreServesFullCacheHits(t *testing.T) {
 	}
 	if st.Cached != len(scs) || st.Ran != 0 || st.Failed != 0 {
 		t.Fatalf("old store did not serve a full cache hit: %+v", st)
+	}
+}
+
+// tdmaModelsGrid is the grid testdata/tdma_models_records.jsonl was
+// generated from (wall fields zeroed, sorted by line) by a TDMA runner
+// that kept one bit per beep round and read every node's reception
+// window, before the lane-transposed runner became the only one. It
+// covers every channel model and workloads whose Broadcast can finish a
+// node, under noise strong enough to cause decode errors.
+func tdmaModelsGrid() Grid {
+	return Grid{
+		Families:   []string{FamilyRegular},
+		Ns:         []int{24},
+		Params:     []int{3},
+		Epsilons:   []float64{0.1},
+		Noises:     []string{"", "asymmetric:0.03:0.15", "erasure:0.1:1", "gilbert-elliott:0.02:0.3:0.05:0.25", "adversary:solo:64", "jam:2:7"},
+		Engines:    []string{EngineTDMA},
+		Workloads:  []string{WorkloadGossip, WorkloadColoring, WorkloadMatching, WorkloadLeader},
+		Rounds:     2,
+		Replicates: 2,
+		BaseSeed:   2031,
+	}
+}
+
+// TestGoldenTDMAModelsByteIdentical pins the TDMA baseline's records —
+// counters, error scores and energy — across every channel model to
+// those of the bit-packed runner it replaced.
+func TestGoldenTDMAModelsByteIdentical(t *testing.T) {
+	golden := readGoldenFile(t, "tdma_models_records.jsonl")
+	scs, err := tdmaModelsGrid().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != len(golden) {
+		t.Fatalf("grid expands to %d unique specs, golden has %d", len(scs), len(golden))
+	}
+	byHash := make(map[string][]byte, len(scs))
+	for _, sc := range scs {
+		rec, err := Execute(sc, ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Hash(), err)
+		}
+		rec.WallNanos, rec.BuildNanos = 0, 0
+		var buf bytes.Buffer
+		if err := EncodeJSONL(&buf, rec); err != nil {
+			t.Fatal(err)
+		}
+		byHash[rec.Hash] = bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+	}
+	for i, want := range golden {
+		rec, err := DecodeRecord(want)
+		if err != nil {
+			t.Fatalf("golden line %d: %v", i, err)
+		}
+		if got := byHash[rec.Hash]; !bytes.Equal(got, want) {
+			t.Errorf("record %s differs from the TDMA golden:\n got %s\nwant %s", rec.Hash, got, want)
+		}
 	}
 }

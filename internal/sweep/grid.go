@@ -3,6 +3,8 @@ package sweep
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/noise"
 	"repro/internal/rng"
@@ -72,7 +74,8 @@ func fold(s string) uint64 {
 // points onto one spec, and Expand deduplicates them by content hash
 // (first occurrence wins), so a grid never attributes one execution to
 // two different axis labels. Expand fails if any produced spec is
-// invalid or the grid expands to nothing.
+// invalid, an axis names an unknown family, engine or workload, or the
+// grid expands to nothing.
 func (g Grid) Expand() ([]Scenario, error) {
 	families := defaulted(g.Families, FamilyRegular)
 	ns := defaultedInts(g.Ns, 64)
@@ -83,6 +86,20 @@ func (g Grid) Expand() ([]Scenario, error) {
 	}
 	engines := defaulted(g.Engines, EngineAlg1)
 	workloads := defaulted(g.Workloads, WorkloadGossip)
+	for _, axis := range []struct {
+		what        string
+		names, have []string
+	}{
+		{"family", families, FamilyNames()},
+		{"engine", engines, sim.EngineNames()},
+		{"workload", workloads, sim.WorkloadNames()},
+	} {
+		for _, name := range axis.names {
+			if !slices.Contains(axis.have, name) {
+				return nil, fmt.Errorf("sweep: unknown %s %q (have %s)", axis.what, name, strings.Join(axis.have, ", "))
+			}
+		}
+	}
 	noises, err := canonicalNoises(g.Noises)
 	if err != nil {
 		return nil, err
@@ -171,7 +188,7 @@ func (g Grid) Expand() ([]Scenario, error) {
 										sc.ChannelSeed = 0
 									}
 									if err := sc.Validate(); err != nil {
-										return nil, fmt.Errorf("sweep: grid point %+v: %w", sc, err)
+										return nil, err // names the offending axis value
 									}
 									h := sc.Hash()
 									if _, dup := seen[h]; dup {

@@ -54,6 +54,11 @@ const (
 	FamilyGeo = "geo"
 )
 
+// FamilyNames returns the graph families a Scenario can name.
+func FamilyNames() []string {
+	return []string{FamilyRegular, FamilyBounded, FamilyPG, FamilyGrid, FamilyHypercube, FamilyHard, FamilyComplete, FamilyGeo}
+}
+
 // Engines a Scenario can run on: the internal/sim engine registry,
 // whose canonical names are re-exported here so the spec vocabulary
 // (and every content hash derived from it) is stable.

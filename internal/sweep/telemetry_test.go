@@ -97,6 +97,53 @@ func TestTelemetryAdversaryRecordsIdentical(t *testing.T) {
 	}
 }
 
+// TestTDMAMetricSet: the TDMA runner reports one metric set whether a
+// grid runs as one-lane scenarios or as sliced lane groups. Each
+// tdma.phase timer is observed, and tdma.rounds.sim counts exactly the
+// simulated rounds the TDMA records report.
+func TestTDMAMetricSet(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		replicates int
+		sliced     bool
+	}{
+		{"sliced", 8, true},
+		{"one-lane", 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scs, err := replicateGrid(tc.replicates).Expand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			recs, st, err := Run(scs, NewMemStore(), Options{Jobs: 1, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Ran != len(scs) || st.Failed != 0 {
+				t.Fatalf("stats: %+v", st)
+			}
+			if got := reg.Histogram("sweep.exec.sliced_lanes").Count() > 0; got != tc.sliced {
+				t.Fatalf("sliced execution = %v, want %v", got, tc.sliced)
+			}
+			for _, name := range []string{"tdma.phase.encode_nanos", "tdma.phase.radio_nanos", "tdma.phase.decode_nanos"} {
+				if reg.Timer(name).Count() == 0 {
+					t.Errorf("%s never observed", name)
+				}
+			}
+			var simRounds int64
+			for _, rec := range recs {
+				if rec.Spec.Engine == EngineTDMA {
+					simRounds += int64(rec.Counters.SimRounds)
+				}
+			}
+			if got := reg.Counter("tdma.rounds.sim").Value(); simRounds == 0 || got != simRounds {
+				t.Errorf("tdma.rounds.sim = %d, want Σ sim_rounds = %d", got, simRounds)
+			}
+		})
+	}
+}
+
 // TestBatchDoneMonotonic: progress events arrive serialized with Done
 // counting 1..Total in callback order, under concurrency.
 func TestBatchDoneMonotonic(t *testing.T) {
